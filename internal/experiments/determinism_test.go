@@ -55,6 +55,7 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 			if wide != serial {
 				t.Fatalf("%s: -parallel 8 output differs from serial:\n%s\n--- vs ---\n%s", a.name, wide, serial)
 			}
+			checkDigest(t, a.name, serial)
 		})
 	}
 }
@@ -121,6 +122,10 @@ func TestTraceByteIdenticalAcrossWorkers(t *testing.T) {
 	if e8 != e1a {
 		t.Error("8-worker observability exports differ from serial")
 	}
+	checkDigest(t, "tabS3.trace", e1a.trace)
+	checkDigest(t, "tabS3.metrics", e1a.metrics)
+	checkDigest(t, "tabS3.perfetto", e1a.perfetto)
+	checkDigest(t, "tabS3.timeline", e1a.timeline)
 }
 
 // withShard runs f with the given drive-shard worker count installed,
@@ -232,6 +237,7 @@ func TestTelemetryByteIdenticalAcrossWorkers(t *testing.T) {
 	if cold := render(1, false); cold != serial {
 		t.Error("snapshot-cache-off telemetry stream differs from cached")
 	}
+	checkDigest(t, "fig3.telemetry", serial)
 }
 
 // Every runner-backed grid must also be insensitive to the worker count,

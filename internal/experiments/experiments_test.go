@@ -135,6 +135,7 @@ func TestFig5Shape(t *testing.T) {
 	if len(res.DecodedOps) == 0 {
 		t.Error("first burst decoded to nothing")
 	}
+	checkDigest(t, "fig5", res.Table())
 }
 
 func TestFig6AllFindingsMatch(t *testing.T) {
@@ -167,6 +168,7 @@ func TestTabS2ProbeRateShape(t *testing.T) {
 	if res.MinFullFidelityMHz() < 20 {
 		t.Errorf("min full-fidelity rate = %.0f MHz, expected >= 40 on a 40 MT/s bus", res.MinFullFidelityMHz())
 	}
+	checkDigest(t, "tabS2", res.Table())
 }
 
 func TestTabS3OpenChannelShape(t *testing.T) {
