@@ -86,7 +86,6 @@ type pageOp struct {
 type FTL struct {
 	eng    *sim.Engine
 	flash  Flash
-	tflash TrackedFlash // flash, when it supports snapshot-able ops; else nil
 	cfg    Config
 	g      nand.Geometry
 	rng    *rand.Rand
@@ -217,7 +216,6 @@ func New(eng *sim.Engine, flash Flash, cfg Config) *FTL {
 		tr:          cfg.Trace,
 		prof:        cfg.Trace.Prof(),
 	}
-	f.tflash, _ = flash.(TrackedFlash)
 	f.dims = [4]int{
 		dimC: flash.Channels(),
 		dimW: flash.ChipsPerChannel(),
@@ -804,7 +802,7 @@ func (f *FTL) Read(lsn int64, count int, done func()) error {
 		f.counters.PageReads++
 		f.inflightReads++
 		f.prof.SetOp(attr)
-		f.flash.Read(p.ch, p.chip, a, f.cfg.GCSuspend, f.newReadOp(ppn, req).fire)
+		f.flash.Read(p.ch, p.chip, a, f.cfg.GCSuspend, nil, f.newReadOp(ppn, req).fire)
 	}
 	return nil
 }

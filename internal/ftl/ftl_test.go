@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ssdtp/internal/nand"
+	"ssdtp/internal/onfi"
 	"ssdtp/internal/sim"
 )
 
@@ -47,7 +48,7 @@ func (f *fakeFlash) Geometry() nand.Geometry { return f.g }
 func (f *fakeFlash) Channels() int           { return f.channels }
 func (f *fakeFlash) ChipsPerChannel() int    { return f.chips }
 
-func (f *fakeFlash) Read(ch, chip int, a nand.Addr, priority bool, done func(int, error)) {
+func (f *fakeFlash) Read(ch, chip int, a nand.Addr, priority bool, tag any, done func(int, error)) {
 	bits := f.arr[ch][chip].BitErrors(a)
 	f.eng.Schedule(f.readDelay, func() {
 		err := f.arr[ch][chip].Read(a, nil)
@@ -73,7 +74,7 @@ func (f *fakeFlash) Program(ch, chip int, a nand.Addr, slc, background bool, don
 	})
 }
 
-func (f *fakeFlash) Erase(ch, chip int, a nand.Addr, background bool, done func(error)) {
+func (f *fakeFlash) Erase(ch, chip int, a nand.Addr, background bool, tag any, done func(error)) {
 	f.eng.Schedule(f.eraseDelay, func() {
 		err := f.arr[ch][chip].Erase(a)
 		if err != nil && !f.quiet {
@@ -81,6 +82,14 @@ func (f *fakeFlash) Erase(ch, chip int, a nand.Addr, background bool, done func(
 		}
 		done(err)
 	})
+}
+
+// The fake cannot capture in-flight ops: an FTL on it snapshots only when no
+// collection is in the pipe (Snapshot's job/op cross-check enforces that).
+func (f *fakeFlash) SnapshotOps() []onfi.OpState { return nil }
+
+func (f *fakeFlash) ResumeOp(onfi.OpState, func(int, error), func(error)) {
+	panic("fakeFlash: ResumeOp")
 }
 
 func smallGeom() nand.Geometry {

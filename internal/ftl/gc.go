@@ -236,11 +236,7 @@ func (f *FTL) gcReadNext(pu *puState) {
 	}
 	addr := nand.Addr{Die: pu.die, Plane: pu.plane, Block: int(job.victim), Page: job.readPages[job.next]}
 	f.counters.GCPageReads++
-	if f.tflash != nil {
-		f.tflash.ReadTracked(pu.ch, pu.chip, addr, f.gcReadTags[pu.index], f.gcReadDones[pu.index])
-	} else {
-		f.flash.Read(pu.ch, pu.chip, addr, false, f.gcReadDones[pu.index])
-	}
+	f.flash.Read(pu.ch, pu.chip, addr, false, f.gcReadTags[pu.index], f.gcReadDones[pu.index])
 }
 
 // gcWriteNext submits the relocation program for output page job.next, or
@@ -279,11 +275,7 @@ func (f *FTL) gcEraseVictim(pu *puState) {
 	job := pu.job
 	job.phase = jobErasing
 	addr := nand.Addr{Die: pu.die, Plane: pu.plane, Block: int(job.victim)}
-	if f.tflash != nil {
-		f.tflash.EraseTracked(pu.ch, pu.chip, addr, f.cfg.GCSuspend, f.gcEraseTags[pu.index], f.gcEraseDones[pu.index])
-	} else {
-		f.flash.Erase(pu.ch, pu.chip, addr, f.cfg.GCSuspend, f.gcEraseDones[pu.index])
-	}
+	f.flash.Erase(pu.ch, pu.chip, addr, f.cfg.GCSuspend, f.gcEraseTags[pu.index], f.gcEraseDones[pu.index])
 }
 
 // gcEraseDone retires or frees the erased victim and re-evaluates the

@@ -32,7 +32,7 @@ func (f *FTL) Mount(eager bool, done func()) {
 				Page:  page % f.pagesPerBlk,
 			}
 			issued++
-			f.flash.Read(pu.ch, pu.chip, addr, false, func(int, error) {
+			f.flash.Read(pu.ch, pu.chip, addr, false, nil, func(int, error) {
 				completed++
 				if completed == pages {
 					if done != nil {

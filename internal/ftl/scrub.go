@@ -112,11 +112,7 @@ func (f *FTL) scrubTick() {
 		done := func(bits int, _ error) {
 			f.applyReadHealth(ppn, bits)
 		}
-		if f.tflash != nil {
-			f.tflash.ReadTracked(p.ch, p.chip, addr, scrubTag{ppn: ppn}, done)
-		} else {
-			f.flash.Read(p.ch, p.chip, addr, false, done)
-		}
+		f.flash.Read(p.ch, p.chip, addr, false, scrubTag{ppn: ppn}, done)
 	}
 }
 

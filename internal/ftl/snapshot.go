@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 
 	"ssdtp/internal/bitset"
@@ -15,7 +16,7 @@ import (
 // programs in flight — which is exactly the state a FLUSH leaves behind. That
 // instant is NOT quiescent: trailing garbage collection may still have victim
 // reads or erases in the NAND pipe (flush deliberately does not wait those
-// out). Those ops are captured through the TrackedFlash interface and
+// out). Those ops are tagged, captured through Flash.SnapshotOps and
 // resumed, mid-operation, on the clone.
 
 // gcJobSnap is the serializable image of a gcJob.
@@ -169,12 +170,7 @@ func (f *FTL) Snapshot() *State {
 		}
 	}
 
-	if f.tflash != nil {
-		st.ops = f.tflash.SnapshotOps()
-	}
-	if jobs > 0 && f.tflash == nil {
-		panic("ftl: Snapshot with GC in flight requires a TrackedFlash")
-	}
+	st.ops = f.flash.SnapshotOps()
 	// Cross-check: every captured op must route to a live job (or a scrub
 	// probe), and every mid-flight job must own exactly one op.
 	owned := make(map[int]int, jobs)
@@ -264,9 +260,6 @@ func (f *FTL) Restore(st *State) {
 		f.rng.Int63()
 	}
 
-	if len(st.ops) > 0 && f.tflash == nil {
-		panic("ftl: Restore with in-flight ops requires a TrackedFlash")
-	}
 	// Queue-phase ops first, in per-channel FIFO order (they mint no engine
 	// events; the restored resources are busy, so no Acquire grants
 	// synchronously). Then every pending event — op phases and the idle
@@ -290,7 +283,7 @@ func (f *FTL) Restore(st *State) {
 	sort.Slice(pending, func(i, j int) bool { return pending[i].EventSeq < pending[j].EventSeq })
 	for _, op := range queued {
 		rd, ed := f.resumedDones(op)
-		f.tflash.ResumeOp(op, rd, ed)
+		f.flash.ResumeOp(op, rd, ed)
 	}
 	idleDue := st.idleArmed
 	for _, op := range pending {
@@ -299,7 +292,7 @@ func (f *FTL) Restore(st *State) {
 			idleDue = false
 		}
 		rd, ed := f.resumedDones(op)
-		f.tflash.ResumeOp(op, rd, ed)
+		f.flash.ResumeOp(op, rd, ed)
 	}
 	if idleDue {
 		f.idleEvent = f.eng.At(st.idleTime, f.idleTickFn)
@@ -322,3 +315,21 @@ func (f *FTL) resumedDones(st onfi.OpState) (func(int, error), func(error)) {
 	}
 	panic("ftl: restored op with an unknown tag")
 }
+
+// countingSource wraps the FTL's deterministic rand source and counts draws,
+// so a snapshot records the stream position and Restore replays it (re-seed
+// plus n draws). It deliberately implements only rand.Source — not
+// rand.Source64 — which pins rand.Rand to the Int63-based derivation paths;
+// the values are identical to an unwrapped source's, and every draw funnels
+// through exactly one Int63 call.
+type countingSource struct {
+	src rand.Source
+	n   uint64
+}
+
+func (s *countingSource) Int63() int64 {
+	s.n++
+	return s.src.Int63()
+}
+
+func (s *countingSource) Seed(seed int64) { s.src.Seed(seed) }

@@ -24,13 +24,13 @@ func TestProgramThenRead(t *testing.T) {
 	a := nand.Addr{Die: 0, Plane: 1, Block: 3, Page: 0}
 	data := bytes.Repeat([]byte{0x5A}, 2048)
 	var programmed bool
-	b.Program(0, a, data, func(err error) {
+	b.Program(0, []nand.Addr{a}, [][]byte{data}, false, false, func(err error) {
 		if err != nil {
 			t.Errorf("program: %v", err)
 		}
 		programmed = true
 		buf := make([]byte, 2048)
-		b.Read(0, a, buf, func(err error) {
+		b.Read(0, a, buf, false, nil, func(_ int, err error) {
 			if err != nil {
 				t.Errorf("read: %v", err)
 			}
@@ -49,7 +49,7 @@ func TestProgramLatency(t *testing.T) {
 	eng, b := testBus(t, 1)
 	tm := b.Timing()
 	var end sim.Time
-	b.Program(0, nand.Addr{}, nil, func(error) { end = eng.Now() })
+	b.Program(0, []nand.Addr{{}}, nil, false, false, func(error) { end = eng.Now() })
 	eng.Run()
 	want := 2*tm.CmdCycle + 5*tm.AddrCycle + tm.TransferTime(2048) + tm.ProgramPage
 	if end != want {
@@ -61,7 +61,7 @@ func TestEraseLatency(t *testing.T) {
 	eng, b := testBus(t, 1)
 	tm := b.Timing()
 	var end sim.Time
-	b.Erase(0, nand.Addr{Block: 2}, func(error) { end = eng.Now() })
+	b.Erase(0, nand.Addr{Block: 2}, false, nil, func(error) { end = eng.Now() })
 	eng.Run()
 	want := 2*tm.CmdCycle + 3*tm.AddrCycle + tm.EraseBlock
 	if end != want {
@@ -74,8 +74,8 @@ func TestEraseLatency(t *testing.T) {
 func TestDieParallelism(t *testing.T) {
 	eng, b := testBus(t, 1)
 	var ends []sim.Time
-	b.Program(0, nand.Addr{Die: 0}, nil, func(error) { ends = append(ends, eng.Now()) })
-	b.Program(0, nand.Addr{Die: 1}, nil, func(error) { ends = append(ends, eng.Now()) })
+	b.Program(0, []nand.Addr{{Die: 0}}, nil, false, false, func(error) { ends = append(ends, eng.Now()) })
+	b.Program(0, []nand.Addr{{Die: 1}}, nil, false, false, func(error) { ends = append(ends, eng.Now()) })
 	eng.Run()
 	tm := b.Timing()
 	xfer := 2*tm.CmdCycle + 5*tm.AddrCycle + tm.TransferTime(2048)
@@ -90,8 +90,8 @@ func TestDieParallelism(t *testing.T) {
 	// Same die: full serialization.
 	eng2, b2 := testBus(t, 1)
 	var ends2 []sim.Time
-	b2.Program(0, nand.Addr{Die: 0, Page: 0}, nil, func(error) { ends2 = append(ends2, eng2.Now()) })
-	b2.Program(0, nand.Addr{Die: 0, Page: 1}, nil, func(error) { ends2 = append(ends2, eng2.Now()) })
+	b2.Program(0, []nand.Addr{{Die: 0, Page: 0}}, nil, false, false, func(error) { ends2 = append(ends2, eng2.Now()) })
+	b2.Program(0, []nand.Addr{{Die: 0, Page: 1}}, nil, false, false, func(error) { ends2 = append(ends2, eng2.Now()) })
 	eng2.Run()
 	if ends2[1] != 2*(xfer+tm.ProgramPage) {
 		t.Errorf("same-die second program at %d, want %d", ends2[1], 2*(xfer+tm.ProgramPage))
@@ -103,7 +103,7 @@ func TestMultiPlaneProgramSingleArrayOp(t *testing.T) {
 	tm := b.Timing()
 	addrs := []nand.Addr{{Plane: 0, Block: 1}, {Plane: 1, Block: 1}}
 	var end sim.Time
-	b.ProgramMulti(0, addrs, [][]byte{nil, nil}, func(err error) {
+	b.Program(0, addrs, [][]byte{nil, nil}, false, false, func(err error) {
 		if err != nil {
 			t.Errorf("multi-plane program: %v", err)
 		}
@@ -131,16 +131,16 @@ func TestMultiPlaneAcrossDiesPanics(t *testing.T) {
 			t.Error("cross-die multi-plane did not panic")
 		}
 	}()
-	b.ProgramMulti(0, []nand.Addr{{Die: 0}, {Die: 1}}, [][]byte{nil, nil}, nil)
+	b.Program(0, []nand.Addr{{Die: 0}, {Die: 1}}, [][]byte{nil, nil}, false, false, nil)
 }
 
 func TestProgramErrorPropagates(t *testing.T) {
 	eng, b := testBus(t, 1)
 	var errs []error
-	b.Program(0, nand.Addr{}, nil, func(err error) { errs = append(errs, err) })
+	b.Program(0, []nand.Addr{{}}, nil, false, false, func(err error) { errs = append(errs, err) })
 	eng.Run()
 	// Overwrite without erase: second program must report an error.
-	b.Program(0, nand.Addr{}, nil, func(err error) { errs = append(errs, err) })
+	b.Program(0, []nand.Addr{{}}, nil, false, false, func(err error) { errs = append(errs, err) })
 	eng.Run()
 	if errs[0] != nil {
 		t.Errorf("first program err = %v", errs[0])
@@ -160,7 +160,7 @@ func TestObserverSeesProtocolSequence(t *testing.T) {
 			cmds = append(cmds, ev.Byte)
 		}
 	}))
-	b.Program(0, nand.Addr{Block: 1}, nil, nil)
+	b.Program(0, []nand.Addr{{Block: 1}}, nil, false, false, nil)
 	eng.Run()
 	wantKinds := []EventKind{EventCmd, EventAddr, EventAddr, EventAddr, EventAddr, EventAddr, EventDataIn, EventCmd, EventBusy, EventReady}
 	if len(kinds) != len(wantKinds) {
@@ -186,7 +186,7 @@ func TestObserverRowAddressDecodes(t *testing.T) {
 			rowBytes = append(rowBytes, ev.Byte)
 		}
 	}))
-	b.Program(0, target, nil, nil)
+	b.Program(0, []nand.Addr{target}, nil, false, false, nil)
 	eng.Run()
 	// 2 column cycles then 3 row cycles.
 	if len(rowBytes) != 5 {
@@ -204,7 +204,7 @@ func TestUnobserve(t *testing.T) {
 	detach := b.Observe(ObserverFunc(func(BusEvent) { n++ }))
 	detach()
 	detach() // second detach is a no-op
-	b.Program(0, nand.Addr{}, nil, nil)
+	b.Program(0, []nand.Addr{{}}, nil, false, false, nil)
 	eng.Run()
 	if n != 0 {
 		t.Errorf("events after Unobserve: %d", n)
@@ -213,10 +213,10 @@ func TestUnobserve(t *testing.T) {
 
 func TestBusStats(t *testing.T) {
 	eng, b := testBus(t, 2)
-	b.Program(0, nand.Addr{}, nil, nil)
-	b.Program(1, nand.Addr{}, nil, nil)
-	b.Read(0, nand.Addr{}, nil, nil)
-	b.Erase(1, nand.Addr{}, nil)
+	b.Program(0, []nand.Addr{{}}, nil, false, false, nil)
+	b.Program(1, []nand.Addr{{}}, nil, false, false, nil)
+	b.Read(0, nand.Addr{}, nil, false, nil, nil)
+	b.Erase(1, nand.Addr{}, false, nil, nil)
 	eng.Run()
 	s := b.Stats()
 	if s.Programs != 2 || s.Reads != 1 || s.Erases != 1 {
@@ -307,10 +307,10 @@ func TestReadExReportsBitErrors(t *testing.T) {
 		Clock:       func() int64 { return eng.Now() },
 	})
 	b := NewBus(eng, 0, nand.ONFI2MLC(), chip)
-	b.Program(0, nand.Addr{}, nil, nil)
+	b.Program(0, []nand.Addr{{}}, nil, false, false, nil)
 	eng.Run()
 	var bits int
-	b.ReadEx(0, nand.Addr{}, nil, func(n int, err error) { bits = n })
+	b.Read(0, nand.Addr{}, nil, false, nil, func(n int, err error) { bits = n })
 	eng.Run()
 	if bits != 3 {
 		t.Errorf("bit errors = %d, want 3", bits)
@@ -322,11 +322,11 @@ func TestReadPriSuspendsBackgroundProgram(t *testing.T) {
 	tm := b.Timing()
 	// Start a background program; issue a priority read mid-array-phase.
 	var progEnd, readEnd sim.Time
-	b.ProgramBG(0, nand.Addr{Die: 0}, nil, false, func(error) { progEnd = eng.Now() })
+	b.Program(0, []nand.Addr{{Die: 0}}, nil, false, true, func(error) { progEnd = eng.Now() })
 	// Prime the target page on the other die so the read has data.
-	b.Program(0, nand.Addr{Die: 1}, nil, nil)
+	b.Program(0, []nand.Addr{{Die: 1}}, nil, false, false, nil)
 	eng.RunUntil(eng.Now() + tm.ProgramPage/2)
-	b.ReadPri(0, nand.Addr{Die: 0}, nil, func(int, error) { readEnd = eng.Now() })
+	b.Read(0, nand.Addr{Die: 0}, nil, true, nil, func(int, error) { readEnd = eng.Now() })
 	eng.Run()
 	// Without suspend the read would wait the remaining ~tPROG/2 plus tR;
 	// with suspend it costs roughly SuspendOverhead + tR + transfer.
@@ -344,7 +344,7 @@ func TestReadPriSuspendsBackgroundProgram(t *testing.T) {
 func TestReadPriWithoutBackgroundFallsBack(t *testing.T) {
 	eng, b := testBus(t, 1)
 	var end sim.Time
-	b.ReadPri(0, nand.Addr{}, nil, func(int, error) { end = eng.Now() })
+	b.Read(0, nand.Addr{}, nil, true, nil, func(int, error) { end = eng.Now() })
 	eng.Run()
 	tm := b.Timing()
 	want := 2*tm.CmdCycle + 5*tm.AddrCycle + tm.ReadPage + tm.TransferTime(2048)
@@ -356,12 +356,12 @@ func TestReadPriWithoutBackgroundFallsBack(t *testing.T) {
 func TestEraseBGSuspendable(t *testing.T) {
 	eng, b := testBus(t, 1)
 	tm := b.Timing()
-	b.Program(0, nand.Addr{Die: 0}, nil, func(error) {
-		b.EraseBG(0, nand.Addr{Die: 0}, nil)
+	b.Program(0, []nand.Addr{{Die: 0}}, nil, false, false, func(error) {
+		b.Erase(0, nand.Addr{Die: 0}, true, nil, nil)
 		// Mid-erase, a priority read on the same die must suspend it.
 		eng.Schedule(tm.EraseBlock/2, func() {
 			start := eng.Now()
-			b.ReadPri(0, nand.Addr{Die: 0, Block: 1}, nil, func(int, error) {
+			b.Read(0, nand.Addr{Die: 0, Block: 1}, nil, true, nil, func(int, error) {
 				lat := eng.Now() - start
 				budget := SuspendOverhead + tm.ReadPage + tm.TransferTime(2048) + 5*sim.Microsecond
 				if lat > budget {

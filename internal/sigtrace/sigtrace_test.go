@@ -27,7 +27,7 @@ func TestDecodeProgram(t *testing.T) {
 	eng, bus, an := probeRig(t)
 	g := bus.Chips()[0].Geometry()
 	target := nand.Addr{Die: 1, Plane: 0, Block: 3, Page: 0}
-	bus.Program(0, target, nil, nil)
+	bus.Program(0, []nand.Addr{target}, nil, false, false, nil)
 	eng.Run()
 	ops := Decode(an.Events())
 	if len(ops) != 1 {
@@ -54,9 +54,9 @@ func TestDecodeProgram(t *testing.T) {
 func TestDecodeReadAndErase(t *testing.T) {
 	eng, bus, an := probeRig(t)
 	a := nand.Addr{Block: 2}
-	bus.Program(0, a, nil, func(error) {
-		bus.Read(0, a, nil, func(error) {
-			bus.Erase(0, a, nil)
+	bus.Program(0, []nand.Addr{a}, nil, false, false, func(error) {
+		bus.Read(0, a, nil, false, nil, func(int, error) {
+			bus.Erase(0, a, false, nil, nil)
 		})
 	})
 	eng.Run()
@@ -78,7 +78,7 @@ func TestDecodeReadAndErase(t *testing.T) {
 func TestDecodeMultiPlane(t *testing.T) {
 	eng, bus, an := probeRig(t)
 	addrs := []nand.Addr{{Plane: 0, Block: 1}, {Plane: 1, Block: 1}}
-	bus.ProgramMulti(0, addrs, [][]byte{nil, nil}, nil)
+	bus.Program(0, addrs, [][]byte{nil, nil}, false, false, nil)
 	eng.Run()
 	ops := Decode(an.Events())
 	if len(ops) != 1 {
@@ -94,7 +94,7 @@ func TestDecodeMultiPlane(t *testing.T) {
 
 func TestDecodeSLCDetectableByBusyTime(t *testing.T) {
 	eng, bus, an := probeRig(t)
-	bus.ProgramSLC(0, nand.Addr{Block: 1}, nil, nil)
+	bus.Program(0, []nand.Addr{{Block: 1}}, nil, true, false, nil)
 	eng.Run()
 	ops := Decode(an.Events())
 	if len(ops) != 1 {
@@ -109,13 +109,13 @@ func TestDecodeSLCDetectableByBusyTime(t *testing.T) {
 func TestArmStopClear(t *testing.T) {
 	eng, bus, an := probeRig(t)
 	an.Stop()
-	bus.Program(0, nand.Addr{}, nil, nil)
+	bus.Program(0, []nand.Addr{{}}, nil, false, false, nil)
 	eng.Run()
 	if len(an.Events()) != 0 {
 		t.Error("captured while disarmed")
 	}
 	an.Arm()
-	bus.Program(0, nand.Addr{Page: 1}, nil, nil)
+	bus.Program(0, []nand.Addr{{Page: 1}}, nil, false, false, nil)
 	eng.Run()
 	if len(an.Events()) == 0 {
 		t.Error("captured nothing while armed")
@@ -125,7 +125,7 @@ func TestArmStopClear(t *testing.T) {
 		t.Error("Clear did not clear")
 	}
 	an.Detach()
-	bus.Program(0, nand.Addr{Page: 2}, nil, nil)
+	bus.Program(0, []nand.Addr{{Page: 2}}, nil, false, false, nil)
 	eng.Run()
 	if len(an.Events()) != 0 {
 		t.Error("captured after detach")
@@ -139,7 +139,7 @@ func TestBufferLimitTruncates(t *testing.T) {
 	bus := onfi.NewBus(eng, 0, nand.ONFI2MLC(), chip)
 	an := Attach(bus, 5)
 	an.Arm()
-	bus.Program(0, nand.Addr{}, nil, nil)
+	bus.Program(0, []nand.Addr{{}}, nil, false, false, nil)
 	eng.Run()
 	if !an.Truncated() {
 		t.Error("tiny buffer did not truncate")
@@ -151,10 +151,10 @@ func TestBufferLimitTruncates(t *testing.T) {
 
 func TestBurstsGrouping(t *testing.T) {
 	eng, bus, an := probeRig(t)
-	bus.Program(0, nand.Addr{}, nil, func(error) {
+	bus.Program(0, []nand.Addr{{}}, nil, false, false, func(error) {
 		// Second op well after the first completes: separate burst.
 		eng.Schedule(5*sim.Millisecond, func() {
-			bus.Program(0, nand.Addr{Page: 1}, nil, nil)
+			bus.Program(0, []nand.Addr{{Page: 1}}, nil, false, false, nil)
 		})
 	})
 	eng.Run()
@@ -172,7 +172,7 @@ func TestBurstsGrouping(t *testing.T) {
 
 func TestWaveformRendersPhases(t *testing.T) {
 	eng, bus, an := probeRig(t)
-	bus.Program(0, nand.Addr{}, nil, nil)
+	bus.Program(0, []nand.Addr{{}}, nil, false, false, nil)
 	eng.Run()
 	evs := an.Events()
 	w := RenderWaveform(evs, 0, evs[len(evs)-1].Time+sim.Microsecond, 80)
@@ -199,8 +199,8 @@ func TestDecodeIgnoresUnknownPrefix(t *testing.T) {
 
 func TestWriteVCD(t *testing.T) {
 	eng, bus, an := probeRig(t)
-	bus.Program(0, nand.Addr{}, nil, func(error) {
-		bus.Read(0, nand.Addr{}, nil, nil)
+	bus.Program(0, []nand.Addr{{}}, nil, false, false, func(error) {
+		bus.Read(0, nand.Addr{}, nil, false, nil, nil)
 	})
 	eng.Run()
 	var buf strings.Builder
@@ -242,7 +242,7 @@ func TestAttachRateAliasesSlowSampling(t *testing.T) {
 	fast := AttachRate(bus, 0, 1)
 	slow.Arm()
 	fast.Arm()
-	bus.Program(0, nand.Addr{}, nil, nil)
+	bus.Program(0, []nand.Addr{{}}, nil, false, false, nil)
 	eng.Run()
 	if slow.Aliased() == 0 {
 		t.Error("slow analyzer aliased nothing on a 40MT/s bus")
@@ -279,15 +279,15 @@ func TestDecodeRoundTripProperty(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0:
 				if cursor[die] < 16 {
-					bus.Program(0, nand.Addr{Die: die, Page: cursor[die]}, nil, nil)
+					bus.Program(0, []nand.Addr{{Die: die, Page: cursor[die]}}, nil, false, false, nil)
 					cursor[die]++
 					issued[key{OpProgram, die}]++
 				}
 			case 1:
-				bus.Read(0, nand.Addr{Die: die}, nil, nil)
+				bus.Read(0, nand.Addr{Die: die}, nil, false, nil, nil)
 				issued[key{OpRead, die}]++
 			case 2:
-				bus.Erase(0, nand.Addr{Die: die}, nil)
+				bus.Erase(0, nand.Addr{Die: die}, false, nil, nil)
 				cursor[die] = 0
 				issued[key{OpErase, die}]++
 			}

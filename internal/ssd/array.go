@@ -107,48 +107,22 @@ func (a *Array) Channels() int { return len(a.buses) }
 func (a *Array) ChipsPerChannel() int { return a.perCh }
 
 // Read implements ftl.Flash.
-func (a *Array) Read(ch, chip int, addr nand.Addr, priority bool, done func(int, error)) {
-	if priority {
-		a.buses[ch].ReadPri(chip, addr, nil, done)
-		return
-	}
-	a.buses[ch].ReadEx(chip, addr, nil, done)
+func (a *Array) Read(ch, chip int, addr nand.Addr, priority bool, tag any, done func(int, error)) {
+	a.buses[ch].Read(chip, addr, nil, priority, tag, done)
 }
 
 // Program implements ftl.Flash.
 func (a *Array) Program(ch, chip int, addr nand.Addr, slc, background bool, done func(error)) {
-	if background {
-		a.buses[ch].ProgramBG(chip, addr, nil, slc, done)
-		return
-	}
-	if slc {
-		a.buses[ch].ProgramSLC(chip, addr, nil, done)
-		return
-	}
-	a.buses[ch].Program(chip, addr, nil, done)
+	a.buses[ch].Program(chip, []nand.Addr{addr}, nil, slc, background, done)
 }
 
 // Erase implements ftl.Flash.
-func (a *Array) Erase(ch, chip int, addr nand.Addr, background bool, done func(error)) {
-	if background {
-		a.buses[ch].EraseBG(chip, addr, done)
-		return
-	}
-	a.buses[ch].Erase(chip, addr, done)
+func (a *Array) Erase(ch, chip int, addr nand.Addr, background bool, tag any, done func(error)) {
+	a.buses[ch].Erase(chip, addr, background, tag, done)
 }
 
-// ReadTracked implements ftl.TrackedFlash by forwarding to the channel bus.
-func (a *Array) ReadTracked(ch, chip int, addr nand.Addr, tag any, done func(int, error)) {
-	a.buses[ch].ReadTracked(chip, addr, tag, done)
-}
-
-// EraseTracked implements ftl.TrackedFlash by forwarding to the channel bus.
-func (a *Array) EraseTracked(ch, chip int, addr nand.Addr, background bool, tag any, done func(error)) {
-	a.buses[ch].EraseTracked(chip, addr, background, tag, done)
-}
-
-// SnapshotOps implements ftl.TrackedFlash: the in-flight tracked ops across
-// every channel (each OpState carries its channel id).
+// SnapshotOps implements ftl.Flash: the in-flight ops across every channel
+// (each OpState carries its channel id).
 func (a *Array) SnapshotOps() []onfi.OpState {
 	var out []onfi.OpState
 	for _, b := range a.buses {
@@ -157,7 +131,7 @@ func (a *Array) SnapshotOps() []onfi.OpState {
 	return out
 }
 
-// ResumeOp implements ftl.TrackedFlash by dispatching on the op's channel.
+// ResumeOp implements ftl.Flash by dispatching on the op's channel.
 func (a *Array) ResumeOp(st onfi.OpState, readDone func(int, error), eraseDone func(error)) {
 	a.buses[st.Ch].ResumeOp(st, readDone, eraseDone)
 }
@@ -194,4 +168,4 @@ func (a *Array) SetTrace(tr *obs.Tracer) {
 // Chip returns the chip at (channel, way), for teardown-style inspection.
 func (a *Array) Chip(ch, w int) *nand.Chip { return a.chips[ch][w] }
 
-var _ ftl.TrackedFlash = (*Array)(nil)
+var _ ftl.Flash = (*Array)(nil)
