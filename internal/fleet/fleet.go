@@ -19,13 +19,16 @@
 // first advanced to fleet-now. New drive events are always scheduled at or
 // after the drive's current clock, so no drive event can become due before
 // the armed pump — the interleaving is total, deterministic, and independent
-// of host-side worker counts.
+// of host-side worker counts. The drives are shards of a sim.ShardGroup,
+// whose calendar finds the earliest drive event in O(log drives); every path
+// here that changes a drive outside the group (sync, submission, flush)
+// re-keys it with Touch.
 //
 // # Parallel prefetch
 //
 // With SetParallel, the pump additionally opens conservative-lookahead
-// windows (DESIGN.md §11): drives are shards of a sim.ShardGroup whose
-// per-shard floor is ssd.Device.CompletionFloor, so the group horizon — also
+// windows (DESIGN.md §11): each drive's busy predicate is
+// ssd.Device.CompletionFloor, so the group horizon — also
 // capped by the host engine's next event and the cell tracer's next timeline
 // boundary — bounds when any drive can next call back into host state.
 // Everything strictly before the horizon is drive-internal and fires
@@ -59,6 +62,7 @@ type drive struct {
 	dev  *ssd.Device
 	eng  *sim.Engine
 	base sim.Time // drive-local clock minus fleet clock, fixed at attach
+	idx  int      // drive (and shard) index
 
 	tenants int   // volumes with at least one extent here
 	cursor  int64 // next unallocated drive-local byte
@@ -89,8 +93,14 @@ type Fleet struct {
 	stripe int64
 	sector int
 	pump   sim.Event
+	pumpFn func() // pumpFire, bound once
 	vols   []*Volume
 	tr     *obs.Tracer // cell tracer from BindObs; carries tenant-request spans
+
+	// Freelists of in-flight request descriptors, so the steady-state
+	// request path allocates nothing.
+	freeReq *volReq
+	freeSub *volSub
 
 	// group shards the drive engines for conservative-lookahead prefetch;
 	// parallel gates it (SetParallel). ghosts are the fleet times of batches
@@ -115,6 +125,7 @@ func New(eng *sim.Engine, devs []*ssd.Device, stripeBytes int64) *Fleet {
 		panic("fleet: New with no drives")
 	}
 	f := &Fleet{eng: eng, stripe: stripeBytes, sector: devs[0].SectorSize()}
+	f.pumpFn = f.pumpFire
 	if stripeBytes <= 0 || stripeBytes%int64(f.sector) != 0 {
 		panic(fmt.Sprintf("fleet: stripe %d not a positive multiple of sector %d", stripeBytes, f.sector))
 	}
@@ -127,7 +138,7 @@ func New(eng *sim.Engine, devs []*ssd.Device, stripeBytes int64) *Fleet {
 		if dev.SectorSize() != f.sector {
 			panic(fmt.Sprintf("fleet: drive %d sector %d != fleet sector %d", i, dev.SectorSize(), f.sector))
 		}
-		d := &drive{dev: dev, eng: dev.Engine(), base: dev.Engine().Now() - eng.Now()}
+		d := &drive{dev: dev, eng: dev.Engine(), base: dev.Engine().Now() - eng.Now(), idx: i}
 		if prof := dev.Tracer().Prof(); prof != nil {
 			prof.SetRowSink(func(r obs.AttrRow) {
 				d.lastRow = r
@@ -135,13 +146,7 @@ func New(eng *sim.Engine, devs []*ssd.Device, stripeBytes int64) *Fleet {
 			})
 		}
 		dev.TrackCompletions()
-		f.group.Attach(d.eng, d.base, func() (sim.Time, bool) {
-			t, ok := d.dev.CompletionFloor()
-			if !ok {
-				return 0, false
-			}
-			return t - d.base, true
-		})
+		f.group.Attach(d.eng, d.base, dev.CompletionFloor)
 		f.drives[i] = d
 	}
 	f.armPump()
@@ -179,21 +184,7 @@ func (f *Fleet) SharedDrives() int {
 // events due at or before it, so a submission lands on an up-to-date drive.
 func (f *Fleet) syncDrive(d *drive) {
 	d.eng.RunUntil(d.base + f.eng.Now())
-}
-
-// nextDriveTime returns the earliest pending drive event's fleet time.
-func (f *Fleet) nextDriveTime() (sim.Time, bool) {
-	var best sim.Time
-	found := false
-	for _, d := range f.drives {
-		if t, ok := d.eng.NextEventTime(); ok {
-			g := t - d.base
-			if !found || g < best {
-				best, found = g, true
-			}
-		}
-	}
-	return best, found
+	f.group.Touch(d.idx)
 }
 
 // armPump (re)schedules the pump at the earliest pending drive event — or,
@@ -201,11 +192,13 @@ func (f *Fleet) nextDriveTime() (sim.Time, bool) {
 // (always earlier than every remaining drive event). The invariant — no
 // drive event is due before the armed pump — holds because drives only gain
 // events while being stepped or synced at fleet-now, so every new event's
-// fleet time is >= now.
+// fleet time is >= now. A drive event due before now means some path changed
+// a drive without re-keying it in the calendar; that is a bug, and stepping
+// on would silently reorder events, so it panics.
 func (f *Fleet) armPump() {
-	next, ok := f.nextDriveTime()
+	di, next, ok := f.group.Next()
 	if len(f.ghosts) > 0 {
-		next, ok = f.ghosts[0], true
+		di, next, ok = -1, f.ghosts[0], true
 	}
 	if f.pump.Pending() {
 		if ok && f.pump.Time() == next {
@@ -217,9 +210,13 @@ func (f *Fleet) armPump() {
 		return
 	}
 	if now := f.eng.Now(); next < now {
-		next = now // defensive; the invariant makes this unreachable
+		if di < 0 {
+			panic(fmt.Sprintf("fleet: window ghost at fleet time %d, before now=%d", next, now))
+		}
+		panic(fmt.Sprintf("fleet: stale shard calendar: drive %d next event at fleet time %d, before now=%d",
+			di, next, now))
 	}
-	f.pump = f.eng.At(next, f.pumpFire)
+	f.pump = f.eng.At(next, f.pumpFn)
 }
 
 // pumpFire steps every due drive event in (fleet time, drive index) order —
@@ -390,9 +387,9 @@ type frag struct {
 	n   int64
 }
 
-// split cuts [off, off+length) at extent boundaries into drive-local pieces.
-func (v *Volume) split(off, length int64) []frag {
-	frags := make([]frag, 0, 1+length/v.f.stripe)
+// split cuts [off, off+length) at extent boundaries into drive-local pieces,
+// appended to frags.
+func (v *Volume) split(frags []frag, off, length int64) []frag {
 	for length > 0 {
 		e := off / v.f.stripe
 		within := off % v.f.stripe
@@ -427,14 +424,89 @@ const (
 	opTrim
 )
 
-func (k opKind) String() string {
-	switch k {
-	case opWrite:
-		return "write"
-	case opRead:
-		return "read"
-	default:
-		return "trim"
+// spanNames are the tenant-request span names, indexed by opKind.
+var spanNames = [...]string{opWrite: "fleet.write", opRead: "fleet.read", opTrim: "fleet.trim"}
+
+// volReq is one in-flight tenant request: its drive-local pieces and their
+// joint completion. Pooled on the Fleet. The pieces live on the request, not
+// in a fleet-wide scratch slice: syncDrive can fire completions that submit
+// new requests while this one is still issuing its pieces.
+type volReq struct {
+	v            *Volume
+	frags        []frag
+	start        sim.Time
+	remaining    int
+	gc, gcShared sim.Time
+	sp           obs.Span
+	done         func()
+	next         *volReq // freelist link
+}
+
+// volSub is one piece of a volReq in flight on a drive. Pooled on the Fleet;
+// fire is its completion, bound once when the descriptor is created.
+type volSub struct {
+	req    *volReq
+	d      *drive
+	shared bool
+	fire   func()
+	next   *volSub // freelist link
+}
+
+func (f *Fleet) newReq() *volReq {
+	r := f.freeReq
+	if r == nil {
+		return &volReq{}
+	}
+	f.freeReq, r.next = r.next, nil
+	return r
+}
+
+func (f *Fleet) newSub() *volSub {
+	s := f.freeSub
+	if s == nil {
+		s = &volSub{}
+		s.fire = s.complete
+		return s
+	}
+	f.freeSub, s.next = s.next, nil
+	return s
+}
+
+// complete consumes the piece's attribution row; the last piece to complete
+// records the tenant's blast-radius accounting, ends the span and runs the
+// caller's callback. Both descriptors are recycled before that callback, so
+// a follow-on submission reuses them.
+//
+// It runs inside the drive's event, mid-step, so it first re-keys the drive:
+// tenant logic may submit and re-arm the pump from here, and the pump must
+// see the drive's real next event, not the instant being fired.
+func (s *volSub) complete() {
+	r := s.req
+	f := r.v.f
+	if f.prefetching {
+		panic("fleet: completion inside a prefetch window (drive violated its completion floor)")
+	}
+	f.group.Touch(s.d.idx)
+	if row, ok := s.d.takeRow(); ok {
+		g := row.Phases[obs.PhaseGCStall]
+		r.gc += g
+		if s.shared {
+			r.gcShared += g
+		}
+	}
+	s.req, s.d = nil, nil
+	s.next, f.freeSub = f.freeSub, s
+	r.remaining--
+	if r.remaining > 0 {
+		return
+	}
+	r.v.record(f.eng.Now()-r.start, r.gc, r.gcShared)
+	r.sp.End()
+	done := r.done
+	r.v, r.done, r.sp = nil, nil, obs.Span{}
+	r.next, f.freeReq = f.freeReq, r
+	if done != nil {
+		done()
 	}
 }
 
@@ -445,56 +517,41 @@ func (v *Volume) submit(kind opKind, off, length int64, done func()) error {
 	if err := v.checkIO(off, length); err != nil {
 		return err
 	}
-	var sp obs.Span
-	if v.f.tr.Enabled() {
-		sp = v.f.tr.Begin("fleet."+kind.String(),
+	f := v.f
+	r := f.newReq()
+	if f.tr.Recording() {
+		r.sp = f.tr.Begin(spanNames[kind],
 			obs.Str("tenant", v.name), obs.Int("off", off), obs.Int("len", length))
+	} else {
+		r.sp = f.tr.Begin(spanNames[kind]) // untraced, or dropped at the record cap
 	}
-	frags := v.split(off, length)
-	start := v.f.eng.Now()
-	remaining := len(frags)
-	var gc, gcShared sim.Time
-	for _, fr := range frags {
-		d := v.f.drives[fr.di]
-		shared := d.tenants > 1
-		v.f.syncDrive(d)
+	r.v, r.done, r.start = v, done, f.eng.Now()
+	r.gc, r.gcShared = 0, 0
+	r.frags = v.split(r.frags[:0], off, length)
+	r.remaining = len(r.frags)
+	for _, fr := range r.frags {
+		d := f.drives[fr.di]
+		sub := f.newSub()
+		sub.req, sub.d, sub.shared = r, d, d.tenants > 1
+		f.syncDrive(d)
 		v.subRequests++
-		subDone := func() {
-			if v.f.prefetching {
-				panic("fleet: completion inside a prefetch window (drive violated its completion floor)")
-			}
-			if row, ok := d.takeRow(); ok {
-				g := row.Phases[obs.PhaseGCStall]
-				gc += g
-				if shared {
-					gcShared += g
-				}
-			}
-			remaining--
-			if remaining == 0 {
-				v.record(v.f.eng.Now()-start, gc, gcShared)
-				sp.End()
-				if done != nil {
-					done()
-				}
-			}
-		}
 		var err error
 		switch kind {
 		case opWrite:
-			err = d.dev.WriteAsync(fr.off, nil, fr.n, subDone)
+			err = d.dev.WriteAsync(fr.off, nil, fr.n, sub.fire)
 		case opRead:
-			err = d.dev.ReadAsync(fr.off, nil, fr.n, subDone)
+			err = d.dev.ReadAsync(fr.off, nil, fr.n, sub.fire)
 		case opTrim:
-			err = d.dev.TrimAsync(fr.off, fr.n, subDone)
+			err = d.dev.TrimAsync(fr.off, fr.n, sub.fire)
 		}
 		if err != nil {
 			// The volume range was validated above; a drive rejecting a
 			// mapped piece means the extent map is corrupt.
 			panic(fmt.Sprintf("fleet %s: drive %d rejected mapped I/O: %v", v.name, fr.di, err))
 		}
+		f.group.Touch(d.idx)
 	}
-	v.f.armPump()
+	f.armPump()
 	return nil
 }
 
@@ -542,12 +599,14 @@ func (v *Volume) FlushAsync(done func()) error {
 			if v.f.prefetching {
 				panic("fleet: flush completion inside a prefetch window (drive violated its completion floor)")
 			}
+			v.f.group.Touch(di)
 			d.takeRow() // consume; flush rows don't charge a request
 			remaining--
 			if remaining == 0 && done != nil {
 				done()
 			}
 		})
+		v.f.group.Touch(di)
 		if err != nil {
 			return fmt.Errorf("fleet %s: drive %d: %w", v.name, di, err)
 		}

@@ -82,7 +82,7 @@ func TestVolumeExtentMapping(t *testing.T) {
 		t.Fatalf("size = %d", v.Size())
 	}
 	// Extent e lives on drive e%4 at local offset (e/4)*stripe.
-	frags := v.split(0, 3*256*1024)
+	frags := v.split(nil, 0, 3*256*1024)
 	if len(frags) != 3 {
 		t.Fatalf("frags = %d", len(frags))
 	}
@@ -92,7 +92,7 @@ func TestVolumeExtentMapping(t *testing.T) {
 		}
 	}
 	// Mid-extent request stays on one drive with the right local offset.
-	frags = v.split(256*1024+4096, 8192)
+	frags = v.split(nil, 256*1024+4096, 8192)
 	if len(frags) != 1 || frags[0].di != 1 || frags[0].off != 4096 || frags[0].n != 8192 {
 		t.Errorf("mid-extent frag = %+v", frags[0])
 	}
@@ -296,5 +296,65 @@ func TestFleetPublishMetrics(t *testing.T) {
 	}
 	if tr.EventsFired() == 0 {
 		t.Error("drive engine events not credited to the cell tracer")
+	}
+}
+
+// TestFleetCalendarExactInCompletions pins the shard-calendar contract where
+// it is easiest to break: tenant logic runs inside a drive's event, while
+// the group is still stepping that drive, and may submit and re-arm the pump
+// from there. At that point the calendar must agree with a brute-force scan
+// of every drive engine, or the pump is armed at a stale instant (an extra
+// host event sequence number, which can reorder same-instant host events).
+// Every completion here checks it, then submits a follow-on write.
+func TestFleetCalendarExactInCompletions(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		f := testFleet(t, 6, 256*1024)
+		f.SetParallel(workers)
+		v, err := f.AddVolume("a", []int{0, 1, 2, 3, 4, 5}, 12*1024*1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			issued, completed int
+			off               int64
+			submit            func()
+		)
+		const total, depth = 2000, 6
+		done := func() {
+			completed++
+			best, bt := -1, sim.Time(0)
+			for i, d := range f.drives {
+				if et, ok := d.eng.NextEventTime(); ok {
+					if gt := et - d.base; best < 0 || gt < bt {
+						best, bt = i, gt
+					}
+				}
+			}
+			if gi, gt, ok := f.group.Next(); ok != (best >= 0) || (ok && (gi != best || gt != bt)) {
+				t.Fatalf("workers %d, completion %d: calendar min (%d, %d, %v), scan (%d, %d)",
+					workers, completed, gi, gt, ok, best, bt)
+			}
+			submit()
+		}
+		submit = func() {
+			if issued == total {
+				return
+			}
+			issued++
+			// 16 KiB steps of 20 KiB stride: some writes straddle a stripe.
+			if err := v.WriteAsync(off, nil, 16<<10, done); err != nil {
+				t.Fatal(err)
+			}
+			if off += 20 << 10; off+16<<10 > v.Size() {
+				off = 0
+			}
+		}
+		for i := 0; i < depth; i++ {
+			submit()
+		}
+		f.Engine().RunWhile(func() bool { return completed < total })
+		if completed != total {
+			t.Fatalf("workers %d: %d of %d writes completed", workers, completed, total)
+		}
 	}
 }

@@ -161,10 +161,12 @@ func (f *FTL) maybeFlushCache() {
 	c := f.cache
 	for c.dirtyBytes > c.flushWater && c.inflight < maxFlushInflight && c.dirtyCount > 0 {
 		f.counters.CacheEvictions++
-		if f.tr.Enabled() {
+		if f.tr.Recording() {
 			f.tr.Emit("ftl.cache.evict",
 				obs.Int("dirty_bytes", int64(c.dirtyBytes)),
 				obs.Int("inflight", int64(c.inflight)))
+		} else if f.tr.Enabled() {
+			f.tr.Emit("ftl.cache.evict") // at the record cap: counted as dropped
 		}
 		f.startCacheFlush()
 	}

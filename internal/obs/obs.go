@@ -138,6 +138,16 @@ func (t *Tracer) Label() string {
 // attribute construction on hot paths.
 func (t *Tracer) Enabled() bool { return t != nil && !t.suspended }
 
+// Recording reports whether a record added now would be kept: the tracer is
+// enabled and below its record cap. Nothing empties the buffer, so once a
+// tracer reaches its cap it stays there. Per-request sites use this to skip
+// building attributes for records the cap will drop; they still call Begin
+// or Emit (without attributes), so span IDs and the dropped-record count
+// advance exactly as they would with attributes.
+func (t *Tracer) Recording() bool {
+	return t.Enabled() && (t.recCap <= 0 || len(t.recs) < t.recCap)
+}
+
 // Suspend stops record capture until Resume. Experiments use it to skip
 // high-volume setup phases (device prefill) deterministically: suspension is
 // a pure function of program structure, never of timing.

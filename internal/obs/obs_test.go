@@ -114,6 +114,36 @@ func TestSuspendResume(t *testing.T) {
 	}
 }
 
+// At its record cap a tracer stops Recording, and a span begun there without
+// attributes costs no allocation yet still advances the span ID and counts
+// one dropped record, exactly as a span with attributes would. CI runs this
+// (-run 'ZeroAlloc') as a regression gate.
+func TestRecordCapSpanZeroAlloc(t *testing.T) {
+	tr := NewTracer("c")
+	tr.SetRecordCap(1)
+	if !tr.Recording() {
+		t.Fatal("empty capped tracer not recording")
+	}
+	tr.Emit("kept")
+	if tr.Recording() {
+		t.Fatal("tracer at its cap still reports Recording")
+	}
+	dropped, id := tr.DroppedRecords(), tr.nextID
+	tr.Begin("dropped").End()
+	if tr.DroppedRecords() != dropped+1 || tr.nextID != id+1 {
+		t.Fatalf("Begin/End at the cap: dropped %d→%d, span id %d→%d; want one more of each",
+			dropped, tr.DroppedRecords(), id, tr.nextID)
+	}
+	if !raceEnabled {
+		if allocs := testing.AllocsPerRun(100, func() { tr.Begin("dropped").End() }); allocs != 0 {
+			t.Fatalf("Begin/End at the record cap allocated %.2f objects/op, want 0", allocs)
+		}
+	}
+	if tr.Records() != 1 {
+		t.Fatalf("capped tracer holds %d records, want 1", tr.Records())
+	}
+}
+
 func TestEngineHookMetrics(t *testing.T) {
 	eng := sim.NewEngine()
 	tr := NewTracer("c")

@@ -97,11 +97,17 @@ func (b *Bus) dieWaitPhase(chip, die int) obs.Phase {
 }
 
 // beginNandSpan opens op's per-die span if op is untagged and tracing is on;
-// otherwise op.sp stays inert.
+// otherwise op.sp stays inert. A tracer at its record cap gets the span
+// without attributes: it will drop the record anyway.
 func (b *Bus) beginNandSpan(op *flashOp, name string) {
-	if op.tag == nil && b.tr.Enabled() {
+	if op.tag != nil || !b.tr.Enabled() {
+		return
+	}
+	if b.tr.Recording() {
 		op.sp = b.tr.Begin(name,
 			obs.Int("ch", int64(b.id)), obs.Int("chip", int64(op.chip)), obs.Int("die", int64(op.die())))
+	} else {
+		op.sp = b.tr.Begin(name)
 	}
 }
 

@@ -106,6 +106,10 @@ type backend interface {
 	drain()
 }
 
+// realBackend schedules, cancels and rebases on shard engines from outside
+// the group between group calls, so under the calendar contract it Touches
+// every shard on entry to runUntil and drain. Within them only the group
+// steps shards, and it re-keys those itself.
 type realBackend struct {
 	engs  []*Engine
 	group *ShardGroup
@@ -144,7 +148,15 @@ func (b *realBackend) rebase(shard int, delta Time) {
 	b.group.SetBase(shard, b.bases[shard])
 }
 
+// touchAll re-keys every shard after external schedules and cancels.
+func (b *realBackend) touchAll() {
+	for i := range b.engs {
+		b.group.Touch(i)
+	}
+}
+
 func (b *realBackend) runUntil(t Time) {
+	b.touchAll()
 	if !b.windowed {
 		b.group.RunUntil(t)
 		return
@@ -165,6 +177,7 @@ func (b *realBackend) runUntil(t Time) {
 }
 
 func (b *realBackend) drain() {
+	b.touchAll()
 	if !b.windowed {
 		for b.group.Step() {
 		}
@@ -446,28 +459,46 @@ func sortDedup(ts []Time) []Time {
 	return out
 }
 
-// TestShardGroupHorizon pins Horizon's min-combination semantics.
+// TestShardGroupHorizon pins Horizon's min-combination semantics under the
+// busy predicate: a busy shard bounds the horizon at its next event's group
+// time; an idle shard, a shard with no predicate and a busy shard with no
+// events do not; the caller's limit caps the result.
 func TestShardGroupHorizon(t *testing.T) {
 	g := NewShardGroup(1)
-	e0, e1 := NewEngine(), NewEngine()
-	f0 := Time(0)
-	ok0 := false
-	g.Attach(e0, 0, func() (Time, bool) { return f0, ok0 })
+	e0, e1, e2 := NewEngine(), NewEngine(), NewEngine()
+	busy0 := false
+	g.Attach(e0, 0, func() bool { return busy0 })
 	g.Attach(e1, 0, nil)
+	g.Attach(e2, 10, func() bool { return true })
+	nop := func() {}
 
-	if h, ok := g.Horizon(0, false); ok {
-		t.Fatalf("all floors unbounded: got bounded horizon %d", h)
+	check := func(what string, limit Time, bounded bool, want Time, wantOK bool) {
+		t.Helper()
+		if h, ok := g.Horizon(limit, bounded); h != want || ok != wantOK {
+			t.Fatalf("%s: Horizon(%d,%v) = (%d,%v), want (%d,%v)", what, limit, bounded, h, ok, want, wantOK)
+		}
 	}
-	if h, ok := g.Horizon(100, true); !ok || h != 100 {
-		t.Fatalf("caller limit alone: got (%d,%v), want (100,true)", h, ok)
-	}
-	f0, ok0 = 40, true
-	if h, ok := g.Horizon(100, true); !ok || h != 40 {
-		t.Fatalf("floor below limit: got (%d,%v), want (40,true)", h, ok)
-	}
-	if h, ok := g.Horizon(0, false); !ok || h != 40 {
-		t.Fatalf("floor with unbounded caller: got (%d,%v), want (40,true)", h, ok)
-	}
+	check("no events, unbounded caller", 0, false, 0, false)
+	check("caller limit alone", 100, true, 100, true)
+
+	e0.Schedule(40, nop)
+	e1.Schedule(20, nop)
+	g.Touch(0)
+	g.Touch(1)
+	check("idle shard and predicate-free shard", 100, true, 100, true)
+	check("idle shard, unbounded caller", 0, false, 0, false)
+
+	busy0 = true
+	check("busy shard below limit", 100, true, 40, true)
+	check("busy shard, unbounded caller", 0, false, 40, true)
+	check("limit below busy shard", 30, true, 30, true)
+
+	e2.Schedule(25, nop) // group time 25 - 10 = 15
+	g.Touch(2)
+	check("earliest busy shard wins", 100, true, 15, true)
+	e2.Run()
+	g.Touch(2)
+	check("busy shard drained", 100, true, 40, true)
 }
 
 // TestShardGroupPanicPropagates ensures a worker panic surfaces on the
@@ -486,4 +517,110 @@ func TestShardGroupPanicPropagates(t *testing.T) {
 	}()
 	g.AdvanceBefore(0, false)
 	t.Fatal("AdvanceBefore returned despite worker panic")
+}
+
+// TestShardCalendarMatchesScan drives random external Schedule, Cancel and
+// Rebase sequences on a group's engines, Touching the changed shards in a
+// random order, interleaved with group Steps and windows, and demands that
+// the calendar's minimum equal a brute-force scan of the engines and that
+// the heap and its slot index stay consistent.
+func TestShardCalendarMatchesScan(t *testing.T) {
+	seeds := 400
+	if testing.Short() {
+		seeds = 50
+	}
+	nop := func() {}
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		g := NewShardGroup(1 + rng.Intn(3))
+		engs := make([]*Engine, n)
+		bases := make([]Time, n)
+		events := make([][]Event, n)
+		for i := range engs {
+			engs[i] = NewEngine()
+			bases[i] = Time(rng.Intn(500))
+			engs[i].Rebase(bases[i])
+			g.Attach(engs[i], bases[i], nil)
+		}
+		dirty := map[int]bool{}
+		touchDirty := func() {
+			for _, i := range rng.Perm(n) {
+				if dirty[i] {
+					g.Touch(i)
+				}
+			}
+			clear(dirty)
+		}
+		for op := 0; op < 300; op++ {
+			i := rng.Intn(n)
+			switch k := rng.Intn(10); {
+			case k < 4:
+				// Small delays force ties across shards at equal group times.
+				events[i] = append(events[i], engs[i].Schedule(Time(rng.Intn(50)), nop))
+				dirty[i] = true
+			case k < 6:
+				if len(events[i]) > 0 {
+					events[i][rng.Intn(len(events[i]))].Cancel()
+					dirty[i] = true
+				}
+			case k < 7:
+				if engs[i].Pending() == 0 {
+					delta := Time(rng.Intn(100))
+					engs[i].Rebase(engs[i].Now() + delta)
+					bases[i] += delta
+					g.SetBase(i, bases[i])
+				}
+			case k < 8:
+				touchDirty()
+				g.Step()
+			case k < 9:
+				touchDirty()
+				if next, ok := g.NextTime(); ok {
+					g.AdvanceBefore(next+Time(rng.Intn(30)), true)
+				}
+			default:
+				touchDirty()
+			}
+			if len(dirty) > 0 {
+				continue
+			}
+			checkCalendar(t, g)
+			best, bt := -1, Time(0)
+			for j, e := range engs {
+				if et, ok := e.NextEventTime(); ok {
+					if gt := et - bases[j]; best < 0 || gt < bt {
+						best, bt = j, gt
+					}
+				}
+			}
+			gi, gt, ok := g.Next()
+			if ok != (best >= 0) || (ok && (gi != best || gt != bt)) {
+				t.Fatalf("seed %d op %d: calendar min (%d, %d, %v), scan (%d, %d)", seed, op, gi, gt, ok, best, bt)
+			}
+		}
+	}
+}
+
+// checkCalendar verifies that the calendar holds exactly the shards with
+// pending events, keyed by their next event's group time, in heap order,
+// with every slot index mirrored.
+func checkCalendar(t *testing.T, g *ShardGroup) {
+	t.Helper()
+	for p, i := range g.cal {
+		s := &g.shards[i]
+		if s.pos != p {
+			t.Fatalf("shard %d at slot %d records pos %d", i, p, s.pos)
+		}
+		if p > 0 && g.calLess(i, g.cal[(p-1)/2]) {
+			t.Fatalf("heap order broken at slot %d", p)
+		}
+	}
+	for i := range g.shards {
+		s := &g.shards[i]
+		et, ok := s.eng.NextEventTime()
+		if ok != (s.pos >= 0) || (ok && s.key != et-s.base) {
+			t.Fatalf("shard %d: pending=%v pos=%d key=%d, next event group time %d", i, ok, s.pos, s.key, et-s.base)
+		}
+	}
 }

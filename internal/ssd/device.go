@@ -184,23 +184,18 @@ func (d *Device) Tracer() *obs.Tracer { return d.tr }
 // negative); the fleet enables it at drive attach.
 func (d *Device) TrackCompletions() { d.trackOutstanding = true }
 
-// CompletionFloor returns a conservative lower bound, in this device's
-// engine time, on when the device can next invoke a host-visible completion
-// callback. ok=false means it never can from its current state: with no
-// request outstanding every queued event is device-internal (background GC,
-// patrol timers), and with no event queued an outstanding request cannot
-// make progress until the host interacts again. Requires TrackCompletions.
+// CompletionFloor reports whether the device's next engine event is a floor
+// on its next host-visible completion: true while any request is
+// outstanding. false means it never can complete anything from its current
+// state — with no request outstanding every queued event is device-internal
+// (background GC, patrol timers) — so its events bound nothing. This is the
+// busy predicate of a sim.ShardGroup shard. Requires TrackCompletions.
 //
-// The bound is the engine's next-event time: a completion only ever fires
+// The floor is the engine's next-event time: a completion only ever fires
 // from inside an event, so nothing host-visible can happen earlier. The
 // write cache can complete a host write with no NAND op in flight, so the
 // floor must come from the event queue rather than from the channel buses.
-func (d *Device) CompletionFloor() (sim.Time, bool) {
-	if d.outstanding == 0 {
-		return 0, false
-	}
-	return d.eng.NextEventTime()
-}
+func (d *Device) CompletionFloor() bool { return d.outstanding > 0 }
 
 // Boot runs the controller's power-on sequence (chip enumeration). Optional
 // for experiments that only need the data path; reverse-engineering rigs

@@ -103,7 +103,11 @@ func (d *Device) submitIO(op ioKind, name string, off, length, lsn int64, count 
 			attr.Mark(obs.PhaseDispatch)
 		}
 		r.attr = attr
-		r.sp = d.tr.Begin(name, obs.Int("off", off), obs.Int("len", length))
+		if d.tr.Recording() {
+			r.sp = d.tr.Begin(name, obs.Int("off", off), obs.Int("len", length))
+		} else {
+			r.sp = d.tr.Begin(name) // at the record cap: dropped, so no attributes
+		}
 	}
 	d.eng.ScheduleArg(d.cfg.HostOverhead, ioReqDispatch, r)
 }
