@@ -8,14 +8,19 @@
 //
 //	benchdiff [-metric ns/op] [-filter REGEX] [-max-regress PCT] old.json new.json
 //
-// Benchmarks present in only one file are reported but never fail the run
-// (experiments come and go; the gate is for hot paths that exist in both).
+// A gate that compares nothing must not pass: the run fails when a benchmark
+// the -filter selects is present in only one file (a rename, or a name
+// suffix such as the -N that GOMAXPROCS>1 appends), or when the filter
+// selects no benchmark at all. Unselected benchmarks present in only one
+// file are reported and never fail the run (experiments come and go; the
+// gate is for hot paths).
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -48,32 +53,41 @@ func load(path string) (map[string]benchmark, *baseline, error) {
 	return m, &b, nil
 }
 
-func main() {
-	metric := flag.String("metric", "ns/op", "metric to compare")
-	filter := flag.String("filter", ".", "regexp selecting benchmarks that gate the run")
-	maxRegress := flag.Float64("max-regress", 10, "fail when the metric grows more than this percentage")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [flags] old.json new.json")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it compares the two baselines named in args, writes
+// the report to stdout and returns the exit status (1 on a failed gate, 2 on
+// a usage or input error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	metric := fs.String("metric", "ns/op", "metric to compare")
+	filter := fs.String("filter", ".", "regexp selecting benchmarks that gate the run")
+	maxRegress := fs.Float64("max-regress", 10, "fail when the metric grows more than this percentage")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 2 {
+		fmt.Fprintln(stderr, "usage: benchdiff [flags] old.json new.json")
+		return 2
 	}
 	re, err := regexp.Compile(*filter)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	oldSet, oldMeta, err := load(flag.Arg(0))
+	oldSet, oldMeta, err := load(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
-	newSet, newMeta, err := load(flag.Arg(1))
+	newSet, newMeta, err := load(fs.Arg(1))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	if oldMeta.CPU != newMeta.CPU || oldMeta.GoVersion != newMeta.GoVersion {
-		fmt.Printf("note: baselines from different environments (%s/%s vs %s/%s); comparing anyway\n",
+		fmt.Fprintf(stdout, "note: baselines from different environments (%s/%s vs %s/%s); comparing anyway\n",
 			oldMeta.GoVersion, oldMeta.CPU, newMeta.GoVersion, newMeta.CPU)
 	}
 
@@ -81,14 +95,32 @@ func main() {
 	for name := range newSet {
 		names = append(names, name)
 	}
+	for name := range oldSet {
+		if _, ok := newSet[name]; !ok {
+			names = append(names, name)
+		}
+	}
 	sort.Strings(names)
 
-	failed := 0
+	gated, failed, missing := 0, 0, 0
 	for _, name := range names {
-		nb := newSet[name]
-		ob, ok := oldSet[name]
-		if !ok {
-			fmt.Printf("  new        %-50s %12.4g %s\n", name, nb.Metrics[*metric], *metric)
+		ob, inOld := oldSet[name]
+		nb, inNew := newSet[name]
+		gate := " "
+		if re.MatchString(name) {
+			gate = "*"
+			gated++
+		}
+		if !inOld || !inNew {
+			status, where := "    ", "new"
+			if !inNew {
+				where = "gone"
+			}
+			if gate == "*" {
+				status = "FAIL"
+				missing++
+			}
+			fmt.Fprintf(stdout, "  %s %s %-50s %s\n", status, gate, name, where)
 			continue
 		}
 		ov, nv := ob.Metrics[*metric], nb.Metrics[*metric]
@@ -97,24 +129,23 @@ func main() {
 		}
 		pct := (nv - ov) / ov * 100
 		status := "ok  "
-		if re.MatchString(name) && pct > *maxRegress {
+		if gate == "*" && pct > *maxRegress {
 			status = "FAIL"
 			failed++
 		}
-		gate := " "
-		if re.MatchString(name) {
-			gate = "*"
-		}
-		fmt.Printf("  %s %s %-50s %12.4g -> %12.4g  %+7.2f%%\n", status, gate, name, ov, nv, pct)
+		fmt.Fprintf(stdout, "  %s %s %-50s %12.4g -> %12.4g  %+7.2f%%\n", status, gate, name, ov, nv, pct)
 	}
-	for name := range oldSet {
-		if _, ok := newSet[name]; !ok {
-			fmt.Printf("  gone       %-50s\n", name)
-		}
+	switch {
+	case gated == 0:
+		fmt.Fprintf(stdout, "-filter %q selects no benchmark: nothing was compared\n", *filter)
+		return 1
+	case missing > 0:
+		fmt.Fprintf(stdout, "%d gated benchmark(s) present in only one file\n", missing)
+		return 1
+	case failed > 0:
+		fmt.Fprintf(stdout, "%d benchmark(s) regressed more than %.1f%% on %s\n", failed, *maxRegress, *metric)
+		return 1
 	}
-	if failed > 0 {
-		fmt.Printf("%d benchmark(s) regressed more than %.1f%% on %s\n", failed, *maxRegress, *metric)
-		os.Exit(1)
-	}
-	fmt.Printf("no gated benchmark regressed more than %.1f%% on %s\n", *maxRegress, *metric)
+	fmt.Fprintf(stdout, "no gated benchmark regressed more than %.1f%% on %s\n", *maxRegress, *metric)
+	return 0
 }

@@ -7,16 +7,16 @@
 // stderr so redirected output stays clean.
 //
 // With -trace FILE the traced experiments (fig3, fleet, tabS3, tabS4) also
-// emit a
-// JSONL span stream, with -trace-perfetto FILE a Chrome trace-event JSON
-// document loadable in Perfetto/chrome://tracing, with -timeline FILE a
-// time-windowed telemetry CSV (sampled every -timeline-ms of simulated
-// time), with -telemetry FILE a JSONL stream of transparency log pages
-// (the host-visible disclosure interface of DESIGN.md §14, sampled every
-// -telemetry-ms), and with -metrics FILE a Prometheus-style text dump of
-// per-cell counters. All are timestamped with the simulated clock and
-// ordered by cell label, so they too are byte-identical for any -parallel
-// value.
+// emit a JSONL span stream, with -trace-perfetto FILE a Chrome trace-event
+// JSON document loadable in Perfetto/chrome://tracing, with -telemetry FILE
+// a JSONL stream of transparency log pages (the host-visible disclosure
+// interface of DESIGN.md §14, sampled every -telemetry-ms of simulated
+// time), with -timeline FILE the same log-page rows as CSV, and with
+// -metrics FILE a Prometheus-style text dump of per-cell counters. All are
+// timestamped with the simulated clock and ordered by cell label, so they
+// too are byte-identical for any -parallel value. A non-positive
+// -telemetry-ms is a flag error whenever -telemetry, -timeline or -http
+// needs pages.
 //
 // -http ADDR serves a live ops endpoint while the run is in flight:
 // net/http/pprof and expvar, a /metrics snapshot of completed cells, a
@@ -38,7 +38,7 @@
 //
 // Usage:
 //
-//	reproduce [-run fig1,fig2,fig3,fig4a,fig4b,fig5,fig6,fleet,transparency|all] [-full] [-seed N] [-parallel N] [-shard N] [-quiet] [-trace FILE] [-trace-perfetto FILE] [-trace-cap N] [-timeline FILE] [-timeline-ms N] [-telemetry FILE] [-telemetry-ms N] [-metrics FILE] [-http ADDR] [-snapshot-cache=false]
+//	reproduce [-run fig1,fig2,fig3,fig4a,fig4b,fig5,fig6,fleet,transparency|all] [-full] [-seed N] [-parallel N] [-shard N] [-quiet] [-trace FILE] [-trace-perfetto FILE] [-trace-cap N] [-timeline FILE] [-telemetry FILE] [-telemetry-ms N] [-metrics FILE] [-http ADDR] [-snapshot-cache=false]
 package main
 
 import (
@@ -70,14 +70,15 @@ func main() {
 	traceFile := flag.String("trace", "", "write a JSONL span trace of the traced experiments to this file")
 	perfettoFile := flag.String("trace-perfetto", "", "write a Chrome trace-event/Perfetto JSON trace of the traced experiments to this file")
 	traceCap := flag.Int("trace-cap", 0, "per-cell trace record cap (0 = default 1<<20; negative = unbounded); drops are counted in ssdtp_trace_dropped_spans_total")
-	timelineFile := flag.String("timeline", "", "write a time-windowed telemetry CSV to this file")
-	timelineMS := flag.Int64("timeline-ms", 10, "timeline sampling interval in simulated milliseconds")
+	timelineFile := flag.String("timeline", "", "write the log-page stream (sampled every -telemetry-ms) as CSV to this file")
 	telemetryFile := flag.String("telemetry", "", "write a JSONL stream of transparency log pages to this file")
 	telemetryMS := flag.Int64("telemetry-ms", 1, "log-page sampling interval in simulated milliseconds")
 	metricsFile := flag.String("metrics", "", "write a Prometheus-style text dump of per-cell metrics to this file")
 	httpAddr := flag.String("http", "", "serve a live ops endpoint (pprof, expvar, /metrics, /progress) on this address, e.g. :6060")
 	snapCache := flag.Bool("snapshot-cache", true, "build each distinct preconditioned drive/file-system image once and clone it per cell (results are identical either way)")
 	flag.Parse()
+	pages := *telemetryFile != "" || *timelineFile != "" || *httpAddr != ""
+	cliutil.MustInterval("telemetry-ms", *telemetryMS, pages)
 
 	// Open and validate every output destination before any experiment runs:
 	// a bad -metrics path must fail now, not after a multi-minute -full
@@ -112,20 +113,17 @@ func main() {
 	experiments.SetPool(&runner.Pool{Workers: *parallel, Progress: progress})
 
 	var col *obs.Collector
-	if traceOut.Enabled() || perfettoOut.Enabled() || timelineOut.Enabled() || telemetryOut.Enabled() || metricsOut.Enabled() || *httpAddr != "" {
+	if pages || traceOut.Enabled() || perfettoOut.Enabled() || metricsOut.Enabled() {
 		col = obs.NewCollector()
 		if *traceCap != 0 {
 			col.SetRecordCap(*traceCap)
-		}
-		if timelineOut.Enabled() {
-			col.SetTimeline(sim.Time(*timelineMS) * sim.Millisecond)
 		}
 		experiments.SetObserver(col)
 	}
 	// The telemetry set needs the collector: log-page sampling rides each
 	// cell tracer's aux window, so cells must be traced for streams to exist.
 	var ts *telemetry.Set
-	if telemetryOut.Enabled() || *httpAddr != "" {
+	if pages {
 		ts = telemetry.NewSet(sim.Time(*telemetryMS) * sim.Millisecond)
 		experiments.SetTelemetry(ts)
 	}
@@ -166,7 +164,7 @@ func main() {
 	flushObs := func() {
 		writeObs(traceOut, func(f *os.File) error { return col.WriteJSONL(f) })
 		writeObs(perfettoOut, func(f *os.File) error { return col.WritePerfetto(f) })
-		writeObs(timelineOut, func(f *os.File) error { return col.WriteTimelineCSV(f) })
+		writeObs(timelineOut, func(f *os.File) error { return ts.WriteCSV(f) })
 		writeObs(telemetryOut, func(f *os.File) error { return ts.WriteJSONL(f) })
 		writeObs(metricsOut, func(f *os.File) error { return col.WriteMetrics(f) })
 	}

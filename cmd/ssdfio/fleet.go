@@ -209,7 +209,7 @@ func runFleet(cfg ssd.Config, o fleetOpts) {
 		o.ts.MarkDone(label)
 		writeObsFile(o.traceOut, func(w *os.File) error { return tr.WriteJSONL(w) })
 		writeObsFile(o.perfettoOut, func(w *os.File) error { return tr.WritePerfetto(w) })
-		writeObsFile(o.timelineOut, func(w *os.File) error { return tr.WriteTimelineCSV(w) })
+		writeObsFile(o.timelineOut, func(w *os.File) error { return o.ts.WriteCSV(w) })
 		writeObsFile(o.telemetryOut, func(w *os.File) error { return o.ts.WriteJSONL(w) })
 		writeObsFile(o.metricsOut, func(w *os.File) error { return tr.WriteMetrics(w) })
 	}

@@ -55,7 +55,7 @@ func main() {
 	traceFile := flag.String("trace", "", "write a JSONL span trace of the run (prefill excluded) to this file")
 	perfettoFile := flag.String("trace-perfetto", "", "write a Chrome trace-event/Perfetto JSON trace of the run to this file")
 	traceCap := flag.Int("trace-cap", 0, "trace record cap (0 = default 1<<20; negative = unbounded); drops are counted in ssdtp_trace_dropped_spans_total")
-	timelineFile := flag.String("timeline", "", "write a time-windowed telemetry CSV (sampled every -timeline-ms) to this file")
+	timelineFile := flag.String("timeline", "", "write the log-page stream (sampled every -telemetry-ms) as CSV to this file")
 	telemetryFile := flag.String("telemetry", "", "write a JSONL stream of transparency log pages (sampled every -telemetry-ms) to this file")
 	telemetryMS := flag.Int64("telemetry-ms", 1, "log-page sampling interval in simulated milliseconds")
 	metricsFile := flag.String("metrics", "", "write a Prometheus-style text dump of device metrics to this file")
@@ -67,6 +67,8 @@ func main() {
 	stripeKB := flag.Int64("stripe-kb", 256, "fleet mode: placement stripe size in KiB")
 	shard := flag.Int("shard", runtime.GOMAXPROCS(0), "fleet mode: drive shards advanced concurrently (results are identical for any value)")
 	flag.Parse()
+	pages := *telemetryFile != "" || *timelineFile != "" || *httpAddr != ""
+	cliutil.MustInterval("telemetry-ms", *telemetryMS, pages)
 
 	cfg, err := modelByName(*model)
 	if err != nil {
@@ -82,23 +84,16 @@ func main() {
 	metricsOut := cliutil.MustOpen("metrics", *metricsFile)
 	var tr *obs.Tracer
 	var col *obs.Collector
-	if traceOut.Enabled() || perfettoOut.Enabled() || timelineOut.Enabled() || telemetryOut.Enabled() || metricsOut.Enabled() || *httpAddr != "" {
+	if pages || traceOut.Enabled() || perfettoOut.Enabled() || metricsOut.Enabled() {
 		col = obs.NewCollector()
 		if *traceCap != 0 {
 			col.SetRecordCap(*traceCap)
 		}
-		if timelineOut.Enabled() {
-			itv := *timelineMS
-			if itv <= 0 {
-				itv = 10
-			}
-			col.SetTimeline(sim.Time(itv) * sim.Millisecond)
-		}
 	}
 	// Log-page sampling rides the tracer's aux window, so the telemetry set
-	// exists only when a collector does (the condition above covers both).
+	// exists only when a collector does (the condition above covers it).
 	var ts *telemetry.Set
-	if telemetryOut.Enabled() || *httpAddr != "" {
+	if pages {
 		ts = telemetry.NewSet(sim.Time(*telemetryMS) * sim.Millisecond)
 	}
 	if *httpAddr != "" {
@@ -192,7 +187,7 @@ func main() {
 		ts.MarkDone(*model)
 		writeObsFile(traceOut, func(f *os.File) error { return tr.WriteJSONL(f) })
 		writeObsFile(perfettoOut, func(f *os.File) error { return tr.WritePerfetto(f) })
-		writeObsFile(timelineOut, func(f *os.File) error { return tr.WriteTimelineCSV(f) })
+		writeObsFile(timelineOut, func(f *os.File) error { return ts.WriteCSV(f) })
 		writeObsFile(telemetryOut, func(f *os.File) error { return ts.WriteJSONL(f) })
 		writeObsFile(metricsOut, func(f *os.File) error { return tr.WriteMetrics(f) })
 	}

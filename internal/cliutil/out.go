@@ -56,6 +56,16 @@ func Failf(flagName, format string, args ...any) {
 	os.Exit(2)
 }
 
+// MustInterval is the fail-fast check for a sampling-interval flag in
+// milliseconds: when an output that samples at it was requested (needed), a
+// non-positive value is a flag error, reported through Failf, rather than a
+// silently empty export.
+func MustInterval(flagName string, ms int64, needed bool) {
+	if needed && ms <= 0 {
+		Failf(flagName, "sampling interval must be positive, got %d", ms)
+	}
+}
+
 // Enabled reports whether this output was requested (flag given, file open).
 func (o *Out) Enabled() bool { return o != nil }
 

@@ -1,9 +1,12 @@
 package cliutil
 
 import (
+	"bytes"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -99,5 +102,43 @@ func TestDir(t *testing.T) {
 	f.Close()
 	if filepath.Dir(path) != dir {
 		t.Fatalf("Create placed file at %s", path)
+	}
+}
+
+// A non-positive sampling interval fails fast — exit status 2 with the flag
+// named on stderr — but only when an output needs the interval; a positive
+// one passes. The failing cases run in a child process because Failf exits.
+func TestMustInterval(t *testing.T) {
+	if ms := os.Getenv("CLIUTIL_TEST_INTERVAL_MS"); ms != "" {
+		v, err := strconv.ParseInt(ms, 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		MustInterval("telemetry-ms", v, true)
+		return
+	}
+	MustInterval("telemetry-ms", 0, false) // unneeded: must not exit
+	for _, tc := range []struct {
+		ms   string
+		fail bool
+	}{{"0", true}, {"-3", true}, {"1", false}} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestMustInterval$")
+		cmd.Env = append(os.Environ(), "CLIUTIL_TEST_INTERVAL_MS="+tc.ms)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if !tc.fail {
+			if err != nil {
+				t.Errorf("-telemetry-ms %s: %v\n%s", tc.ms, err, stderr.String())
+			}
+			continue
+		}
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("-telemetry-ms %s: err = %v, want exit status 2", tc.ms, err)
+		}
+		if !strings.Contains(stderr.String(), "-telemetry-ms") {
+			t.Errorf("-telemetry-ms %s: stderr %q does not name the flag", tc.ms, stderr.String())
+		}
 	}
 }

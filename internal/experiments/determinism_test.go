@@ -62,8 +62,9 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 
 // The observability stream is held to the same contract as the tables:
 // spans carry simulated-clock timestamps and cells are keyed by label, so
-// the exported JSONL trace, metrics dump, Perfetto trace, and telemetry
-// timeline must all be byte-identical run to run and for any worker count.
+// the exported JSONL trace, metrics dump, Perfetto trace, and the -timeline
+// CSV rendered from the log-page set must all be byte-identical run to run
+// and for any worker count.
 // Not parallel with the other determinism tests: each traced run buffers
 // every span of the grid in memory.
 func TestTraceByteIdenticalAcrossWorkers(t *testing.T) {
@@ -73,10 +74,13 @@ func TestTraceByteIdenticalAcrossWorkers(t *testing.T) {
 	type export struct{ trace, metrics, perfetto, timeline string }
 	render := func(workers int) export {
 		col := obs.NewCollector()
-		col.SetTimeline(sim.Millisecond)
 		prev := observer()
 		SetObserver(col)
 		defer SetObserver(prev)
+		ts := telemetry.NewSet(sim.Millisecond)
+		prevTS := telemetrySet()
+		SetTelemetry(ts)
+		defer SetTelemetry(prevTS)
 		withPool(&runner.Pool{Workers: workers}, func() { TabS3OpenChannel(Quick, 42) })
 		var tb, mb, pb, lb strings.Builder
 		if err := col.WriteJSONL(&tb); err != nil {
@@ -88,7 +92,7 @@ func TestTraceByteIdenticalAcrossWorkers(t *testing.T) {
 		if err := col.WritePerfetto(&pb); err != nil {
 			t.Fatal(err)
 		}
-		if err := col.WriteTimelineCSV(&lb); err != nil {
+		if err := ts.WriteCSV(&lb); err != nil {
 			t.Fatal(err)
 		}
 		return export{tb.String(), mb.String(), pb.String(), lb.String()}
@@ -149,7 +153,6 @@ func TestShardByteIdenticalAcrossWorkers(t *testing.T) {
 	type export struct{ table, trace, metrics, perfetto, timeline, telemetry string }
 	render := func(workers int) export {
 		col := obs.NewCollector()
-		col.SetTimeline(sim.Millisecond)
 		prev := observer()
 		SetObserver(col)
 		defer SetObserver(prev)
@@ -169,7 +172,7 @@ func TestShardByteIdenticalAcrossWorkers(t *testing.T) {
 		if err := col.WritePerfetto(&pb); err != nil {
 			t.Fatal(err)
 		}
-		if err := col.WriteTimelineCSV(&lb); err != nil {
+		if err := ts.WriteCSV(&lb); err != nil {
 			t.Fatal(err)
 		}
 		if err := ts.WriteJSONL(&xb); err != nil {

@@ -17,6 +17,7 @@ import (
 
 	"ssdtp/internal/obs"
 	"ssdtp/internal/runner"
+	"ssdtp/internal/ssd"
 	"ssdtp/internal/telemetry"
 )
 
@@ -76,7 +77,8 @@ func observer() *obs.Collector { return observerCol.Load() }
 var telemetryCells atomic.Pointer[telemetry.Set]
 
 // SetTelemetry installs a set that receives per-cell transparency log-page
-// streams from the experiments that support it (fig3, fleet, transparency).
+// streams from the experiments that support it (fig3, fleet, tabS3, tabS4,
+// transparency).
 // Telemetry sampling rides each cell tracer's aux window, so an observer
 // collector must also be installed for streams to be captured (cells without
 // a tracer cannot sample). Does not affect results: rows are read-only
@@ -86,6 +88,18 @@ func SetTelemetry(ts *telemetry.Set) { telemetryCells.Store(ts) }
 
 // telemetrySet returns the installed set (possibly nil).
 func telemetrySet() *telemetry.Set { return telemetryCells.Load() }
+
+// attachTelemetry streams dev's log page into the installed set under the
+// cell's label. The caller defers the returned func, which marks the cell
+// done once its run is over. Without a set both are no-ops.
+func attachTelemetry(dev *ssd.Device, label string) (done func()) {
+	ts := telemetrySet()
+	if ts == nil {
+		return func() {}
+	}
+	dev.AttachTelemetry(ts.Cell(label))
+	return func() { ts.MarkDone(label) }
+}
 
 // Scale trades fidelity for runtime. Full is what EXPERIMENTS.md reports;
 // Quick is for benchmarks and smoke tests.

@@ -10,10 +10,11 @@ import (
 	"ssdtp/internal/runner"
 	"ssdtp/internal/sim"
 	"ssdtp/internal/ssd"
+	"ssdtp/internal/telemetry"
 )
 
 // The fleet co-simulation is held to the same observability contract as the
-// single-drive grids: the exported trace, metrics and telemetry timeline of
+// single-drive grids: the exported trace, metrics and log-page CSV of
 // a fleet run are byte-identical run to run and for any worker count, with
 // tier-level metrics present.
 func TestFleetObsByteIdenticalAcrossWorkers(t *testing.T) {
@@ -23,10 +24,13 @@ func TestFleetObsByteIdenticalAcrossWorkers(t *testing.T) {
 	type export struct{ trace, metrics, timeline string }
 	render := func(workers int) export {
 		col := obs.NewCollector()
-		col.SetTimeline(sim.Millisecond)
 		prev := observer()
 		SetObserver(col)
 		defer SetObserver(prev)
+		ts := telemetry.NewSet(sim.Millisecond)
+		prevTS := telemetrySet()
+		SetTelemetry(ts)
+		defer SetTelemetry(prevTS)
 		withPool(&runner.Pool{Workers: workers}, func() { FleetTail(Quick, 42) })
 		var tb, mb, lb strings.Builder
 		if err := col.WriteJSONL(&tb); err != nil {
@@ -35,7 +39,7 @@ func TestFleetObsByteIdenticalAcrossWorkers(t *testing.T) {
 		if err := col.WriteMetrics(&mb); err != nil {
 			t.Fatal(err)
 		}
-		if err := col.WriteTimelineCSV(&lb); err != nil {
+		if err := ts.WriteCSV(&lb); err != nil {
 			t.Fatal(err)
 		}
 		return export{tb.String(), mb.String(), lb.String()}

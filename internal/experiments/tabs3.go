@@ -77,8 +77,10 @@ func TabS3OpenChannel(scale Scale, seed int64) TabS3Result {
 	var cells []runner.Task[TabS3Row]
 	for _, cfg := range configs {
 		cfg := cfg
-		cells = append(cells, runner.TracedCell(observer(), "tabS3/"+cfg.name, func(tr *obs.Tracer) TabS3Row {
+		label := "tabS3/" + cfg.name
+		cells = append(cells, runner.TracedCell(observer(), label, func(tr *obs.Tracer) TabS3Row {
 			dev := fig3Device(cfg.mut, seed, tr)
+			defer attachTelemetry(dev, label)()
 			res := workload.Run(dev, workload.Spec{
 				Name:         cfg.name,
 				Pattern:      workload.Uniform,
@@ -167,14 +169,15 @@ func TabS4DesignSweep(scale Scale, seed int64) TabS4Result {
 		for _, cache := range []ftl.CacheKind{ftl.CacheData, ftl.CacheMapping} {
 			for _, alloc := range []ftl.AllocOrder{ftl.AllocCWDP, ftl.AllocPDWC, ftl.AllocWDPC, ftl.AllocDPCW} {
 				gc, cache, alloc := gc, cache, alloc
-				cells = append(cells, runner.TracedCell(observer(),
-					fmt.Sprintf("tabS4/%v/%v/%v", gc, cache, alloc),
+				label := fmt.Sprintf("tabS4/%v/%v/%v", gc, cache, alloc)
+				cells = append(cells, runner.TracedCell(observer(), label,
 					func(tr *obs.Tracer) TabS4Cell {
 						dev := fig3Device(func(c *ssd.Config) {
 							c.FTL.GC = gc
 							c.FTL.Cache = cache
 							c.FTL.Alloc = alloc
 						}, seed, tr)
+						defer attachTelemetry(dev, label)()
 						res := workload.Run(dev, workload.Spec{
 							Name: "sweep", Pattern: workload.Uniform, RequestBytes: 16384,
 							QueueDepth: 4, Seed: seed,

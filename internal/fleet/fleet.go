@@ -28,9 +28,10 @@
 //
 // With SetParallel, the pump additionally opens conservative-lookahead
 // windows (DESIGN.md §11): each drive's busy predicate is
-// ssd.Device.CompletionFloor, so the group horizon — also
-// capped by the host engine's next event and the cell tracer's next timeline
-// boundary — bounds when any drive can next call back into host state.
+// ssd.Device.CompletionFloor, so the group horizon — also capped by the host
+// engine's next event and the cell tracer's next window boundary (the
+// log-page sampling grid) — bounds when any drive can next call back into
+// host state.
 // Everything strictly before the horizon is drive-internal and fires
 // concurrently across worker goroutines; the instants those batches fired at
 // come back from AdvanceBefore, and the pump re-arms through them as "ghost"
@@ -244,15 +245,15 @@ func (f *Fleet) pumpFire() {
 // them concurrently. The horizon is the minimum of the host engine's next
 // event (no submission may land on a drive that has run ahead of it) and
 // every busy drive's completion floor (no host-visible completion may fire
-// inside the window), further capped by the cell tracer's next timeline
-// boundary (a boundary row samples current drive state at the first host
+// inside the window), further capped by the cell tracer's next window
+// boundary (a log-page row samples current drive state at the first host
 // event past it, so no drive may run ahead of an unsampled boundary).
 //
 // With neither a host event pending nor a request outstanding anywhere, the
 // window stays shut: the host run loop can only decide to stop at such a
 // point (workload generators signal done when their last request drains),
 // and events fired beyond its last instant would diverge from the serial
-// run's final drive state. The timeline cap deliberately cannot open a
+// run's final drive state. The window cap deliberately cannot open a
 // window on its own — it only tightens one justified by the host queue or a
 // floor.
 func (f *Fleet) prefetch() {
@@ -261,7 +262,7 @@ func (f *Fleet) prefetch() {
 	if !ok {
 		return
 	}
-	if tb, tok := f.tr.NextTimelineBoundary(); tok && tb < h {
+	if tb, tok := f.tr.NextWindowBoundary(); tok && tb < h {
 		h = tb
 	}
 	f.prefetching = true
@@ -724,32 +725,13 @@ func (r MemReport) String() string {
 }
 
 // BindObs attaches the fleet to a cell tracer: host-engine events count into
-// the tracer's engine metrics, tenant requests open fleet.write/read/trim
+// the tracer's engine metrics, and tenant requests open fleet.write/read/trim
 // spans (the drives' own spans stay on their private capped tracers — at
-// fleet scale the tenant-level stream is the one worth exporting), and, when
-// the tracer has a timeline configured, rows are sampled on host-clock
-// boundaries from the summed telemetry of every drive.
+// fleet scale the tenant-level stream is the one worth exporting). The
+// tier-level log page rides the same tracer (AttachTelemetry).
 func (f *Fleet) BindObs(tr *obs.Tracer) {
 	f.tr = tr
 	tr.BindEngine(f.eng)
-	tr.SetTimelineSampler(f.sampleTimeline)
-}
-
-// sampleTimeline sums per-drive telemetry into one tier-level sample.
-func (f *Fleet) sampleTimeline(s *obs.TimelineSample) {
-	for _, d := range f.drives {
-		var t obs.TimelineSample
-		d.dev.SampleTimeline(&t)
-		s.HostBytesWritten += t.HostBytesWritten
-		s.HostBytesRead += t.HostBytesRead
-		s.PagesProgrammed += t.PagesProgrammed
-		s.GCPagesMoved += t.GCPagesMoved
-		s.DirtyCacheBytes += t.DirtyCacheBytes
-		s.QueueDepth += t.QueueDepth
-		s.GCRunning += t.GCRunning
-		s.BusBusyNS += t.BusBusyNS
-		s.BusWaitNS += t.BusWaitNS
-	}
 }
 
 // PublishMetrics snapshots tier-level aggregates and per-tenant summaries
@@ -761,20 +743,23 @@ func (f *Fleet) PublishMetrics(tr *obs.Tracer) {
 	if m == nil {
 		return
 	}
-	var agg obs.TimelineSample
-	f.sampleTimeline(&agg)
-	var driveEvents int64
+	var written, read, programmed, gcMoved, driveEvents int64
 	for _, d := range f.drives {
+		c := d.dev.FTL().Counters()
+		written += d.dev.HostBytesWritten()
+		read += d.dev.HostBytesRead()
+		programmed += c.PagesProgrammed()
+		gcMoved += c.GCPagesProgrammed
 		driveEvents += d.dev.Tracer().EventsFired()
 	}
 	tr.AddEventsFired(driveEvents)
 	m.Set("ssdtp_fleet_drives", int64(len(f.drives)))
 	m.Set("ssdtp_fleet_shared_drives", int64(f.SharedDrives()))
 	m.Set("ssdtp_fleet_tenants", int64(len(f.vols)))
-	m.Set("ssdtp_fleet_host_bytes_written_total", agg.HostBytesWritten)
-	m.Set("ssdtp_fleet_host_bytes_read_total", agg.HostBytesRead)
-	m.Set("ssdtp_fleet_pages_programmed_total", agg.PagesProgrammed)
-	m.Set("ssdtp_fleet_gc_pages_moved_total", agg.GCPagesMoved)
+	m.Set("ssdtp_fleet_host_bytes_written_total", written)
+	m.Set("ssdtp_fleet_host_bytes_read_total", read)
+	m.Set("ssdtp_fleet_pages_programmed_total", programmed)
+	m.Set("ssdtp_fleet_gc_pages_moved_total", gcMoved)
 	mem := f.MemReport()
 	m.Set("ssdtp_image_shared_chunks", mem.ImageChunks)
 	m.Set("ssdtp_image_cow_chunks", mem.CowCopies)

@@ -8,6 +8,7 @@ import (
 	"ssdtp/internal/obs"
 	"ssdtp/internal/sim"
 	"ssdtp/internal/ssd"
+	"ssdtp/internal/telemetry"
 	"ssdtp/internal/workload"
 )
 
@@ -15,14 +16,16 @@ import (
 // mixed overwrite workload hard enough to force steady-state collection (so
 // prefetch windows have real background work to fire), and returns every
 // output surface the determinism contract covers: tenant reports, the cell
-// tracer's four exports, and its engine metrics.
+// tracer's trace, metrics and Perfetto exports, the log-page CSV, and its
+// engine metrics.
 func gcFleetRun(t *testing.T, workers int) (reports [2]TenantReport, jsonl, timeline, metrics, perfetto []byte, f *Fleet) {
 	t.Helper()
 	f = testFleet(t, 3, 256*1024)
 	f.SetParallel(workers)
 	tr := obs.NewTracer("cell")
-	tr.SetTimeline(2 * sim.Millisecond)
 	f.BindObs(tr)
+	ts := telemetry.NewSet(2 * sim.Millisecond)
+	f.AttachTelemetry(ts.Cell("cell"))
 
 	perVol := f.drives[0].dev.Size() * 85 / 100 * 3 / 2 // 2 tenants over 3 drives
 	perVol = perVol / (256 * 1024) * (256 * 1024)
@@ -50,7 +53,7 @@ func gcFleetRun(t *testing.T, workers int) (reports [2]TenantReport, jsonl, time
 	if err := tr.WriteJSONL(&bj); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WriteTimelineCSV(&bt); err != nil {
+	if err := ts.WriteCSV(&bt); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.WriteMetrics(&bm); err != nil {

@@ -23,7 +23,7 @@ func (f *Fleet) FillLogPage(p *telemetry.Page) {
 // AttachTelemetry streams the fleet-level log page into rec on the host
 // clock's aligned boundaries. Call after BindObs (the window rides the cell
 // tracer's engine hook; the shard pump's lookahead already respects it via
-// NextTimelineBoundary). A nil recorder detaches.
+// NextWindowBoundary). A nil recorder detaches.
 func (f *Fleet) AttachTelemetry(rec *telemetry.Recorder) {
 	if rec == nil {
 		f.tr.SetWindow(0, nil)

@@ -398,7 +398,7 @@ func (f *FTL) FreeBlocks() int {
 func (f *FTL) ValidSectors() int64 { return f.validTotal }
 
 // DirtyCacheBytes returns the bytes currently dirty in the write cache (0
-// without a data cache) — a telemetry gauge for the timeline view.
+// without a data cache) — the log page's cache_dirty_bytes gauge.
 func (f *FTL) DirtyCacheBytes() int64 {
 	if f.cache == nil {
 		return 0

@@ -1,12 +1,9 @@
 package obs
 
 import (
-	"bufio"
 	"io"
 	"sort"
 	"sync"
-
-	"ssdtp/internal/sim"
 )
 
 // Collector aggregates per-cell tracers across a parallel experiment run.
@@ -20,11 +17,10 @@ import (
 // byte-identical at any worker count. A nil *Collector hands out nil tracers,
 // keeping the whole observability layer disabled by default.
 type Collector struct {
-	mu         sync.Mutex
-	cells      map[string]*Tracer
-	done       map[string]bool
-	recordCap  int      // 0 = tracer default; applied to cells at creation
-	tlInterval sim.Time // timeline sampling interval applied at creation
+	mu        sync.Mutex
+	cells     map[string]*Tracer
+	done      map[string]bool
+	recordCap int // 0 = tracer default; applied to cells at creation
 }
 
 // NewCollector returns an empty collector.
@@ -46,17 +42,6 @@ func (c *Collector) SetRecordCap(n int) {
 	}
 }
 
-// SetTimeline configures timeline sampling (see Tracer.SetTimeline) on every
-// cell created afterward.
-func (c *Collector) SetTimeline(interval sim.Time) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tlInterval = interval
-}
-
 // Cell returns the tracer for label, creating it on first use. Repeated
 // calls with one label share a tracer (its records append across uses). A
 // nil collector returns a nil tracer.
@@ -71,9 +56,6 @@ func (c *Collector) Cell(label string) *Tracer {
 		t = NewTracer(label)
 		if c.recordCap != 0 {
 			t.SetRecordCap(c.recordCap)
-		}
-		if c.tlInterval > 0 {
-			t.SetTimeline(c.tlInterval)
 		}
 		c.cells[label] = t
 	}
@@ -168,37 +150,4 @@ func (c *Collector) WritePerfetto(w io.Writer) error {
 		return nil
 	}
 	return writePerfetto(w, c.tracers())
-}
-
-// WriteTimelineCSV renders every cell's timeline rows as one CSV stream,
-// cells in label order under a single header.
-func (c *Collector) WriteTimelineCSV(w io.Writer) error {
-	if c == nil {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
-	if err := writeTimelineHeader(bw); err != nil {
-		return err
-	}
-	for _, t := range c.tracers() {
-		if err := t.appendTimelineCSV(bw); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteTimelineJSONL renders every cell's timeline rows as JSONL, cells in
-// label order.
-func (c *Collector) WriteTimelineJSONL(w io.Writer) error {
-	if c == nil {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
-	for _, t := range c.tracers() {
-		if err := t.appendTimelineJSONL(bw); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

@@ -82,7 +82,6 @@ type Tracer struct {
 	droppedRecs int64
 
 	prof *Profiler // latency attribution (lazily created by Prof)
-	tl   *timeline // time-windowed telemetry (nil unless configured)
 	win  *window   // aux sampling window (nil unless SetWindow configured)
 
 	// Engine observation (installed by BindEngine).
@@ -179,9 +178,6 @@ func (t *Tracer) BindEngine(eng *sim.Engine) {
 			t.eventsFired++
 			if pending > t.pendingHigh {
 				t.pendingHigh = pending
-			}
-			if t.tl != nil && !t.suspended {
-				t.tl.observe(now)
 			}
 			if t.win != nil && !t.suspended {
 				t.win.observe(now)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -195,40 +196,78 @@ func TestRecordCapDropsCounted(t *testing.T) {
 	}
 }
 
-// Timeline sampling: rows land exactly on absolute interval boundaries, with
-// values read through the registered sampler at the boundary crossing.
-func TestTimelineSampling(t *testing.T) {
+// Aux window sampling: the first observation only anchors the grid, fires
+// land on absolute multiples of the interval, an event that jumps several
+// boundaries fires once per boundary, and nothing fires while suspended.
+// NextWindowBoundary reports the same grid the pump must respect.
+func TestWindowSampling(t *testing.T) {
+	const itv = 10 * sim.Microsecond
 	eng := sim.NewEngine()
 	tr := NewTracer("c")
-	tr.SetTimeline(10 * sim.Microsecond)
-	var written int64
-	tr.SetTimelineSampler(func(s *TimelineSample) { s.HostBytesWritten = written })
 	tr.BindEngine(eng)
+	if _, ok := tr.NextWindowBoundary(); ok {
+		t.Fatal("NextWindowBoundary ok with no window set")
+	}
+	var nilTr *Tracer
+	if _, ok := nilTr.NextWindowBoundary(); ok {
+		t.Fatal("nil tracer reports a window boundary")
+	}
 
-	// Events at 1µs (anchors the first boundary), then past two boundaries.
-	eng.Schedule(1*sim.Microsecond, func() { written = 100 })
-	eng.Schedule(12*sim.Microsecond, func() { written = 200 })
-	eng.Schedule(25*sim.Microsecond, func() {})
-	eng.Run()
+	type fire struct {
+		at      sim.Time
+		written int64
+	}
+	var fires []fire
+	var written int64
+	tr.SetWindow(itv, func(at sim.Time) { fires = append(fires, fire{at, written}) })
+	if tb, ok := tr.NextWindowBoundary(); !ok || tb != 0 {
+		t.Fatalf("before anchoring: NextWindowBoundary = (%d, %v), want (0, true)", tb, ok)
+	}
 
-	if tr.TimelineRows() != 2 {
-		t.Fatalf("rows = %d, want 2", tr.TimelineRows())
+	// 3µs anchors the grid at 10µs without firing. The hook runs before the
+	// event's callback, so each fire sees state as of the previous callback.
+	eng.Schedule(3*sim.Microsecond, func() { written = 1 })
+	eng.Step()
+	if len(fires) != 0 {
+		t.Fatalf("anchoring observation fired %d times", len(fires))
 	}
-	var sb strings.Builder
-	if err := tr.WriteTimelineCSV(&sb); err != nil {
-		t.Fatal(err)
+	if tb, ok := tr.NextWindowBoundary(); !ok || tb != itv {
+		t.Fatalf("after anchoring: NextWindowBoundary = (%d, %v), want (%d, true)", tb, ok, itv)
 	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("csv lines = %d, want header + 2 rows", len(lines))
+	// 12µs crosses 10µs once.
+	eng.Schedule(9*sim.Microsecond, func() { written = 2 })
+	eng.Step()
+	// 47µs jumps 20, 30 and 40µs: one fire per boundary, all reading the
+	// state left by the 12µs callback.
+	eng.Schedule(35*sim.Microsecond, func() { written = 3 })
+	eng.Step()
+	want := []fire{{10 * sim.Microsecond, 1}, {20 * sim.Microsecond, 2}, {30 * sim.Microsecond, 2}, {40 * sim.Microsecond, 2}}
+	if !reflect.DeepEqual(fires, want) {
+		t.Fatalf("fires = %v, want %v", fires, want)
 	}
-	// The first fired event at or past each boundary triggers its sample; the
-	// engine hook runs before the event's callback, so the 10µs row sees the
-	// state as of the 1µs callback and the 20µs row the 12µs callback.
-	if !strings.HasPrefix(lines[1], `"c",10000,100,`) {
-		t.Fatalf("row 1 = %q, want boundary t=10000 with written=100", lines[1])
+	if tb, ok := tr.NextWindowBoundary(); !ok || tb != 50*sim.Microsecond {
+		t.Fatalf("NextWindowBoundary = (%d, %v), want (50000, true)", tb, ok)
 	}
-	if !strings.HasPrefix(lines[2], `"c",20000,200,`) {
-		t.Fatalf("row 2 = %q, want boundary t=20000 with written=200", lines[2])
+
+	// Suspended: no fires and no boundary; the grid resumes where it was.
+	tr.Suspend()
+	if _, ok := tr.NextWindowBoundary(); ok {
+		t.Fatal("NextWindowBoundary ok while suspended")
+	}
+	eng.Schedule(20*sim.Microsecond, func() {}) // 67µs
+	eng.Step()
+	if len(fires) != len(want) {
+		t.Fatalf("suspended window fired: %v", fires[len(want):])
+	}
+	tr.Resume()
+	eng.Schedule(1*sim.Microsecond, func() {}) // 68µs
+	eng.Step()
+	if n := len(fires); n != len(want)+2 || fires[n-2].at != 50*sim.Microsecond || fires[n-1].at != 60*sim.Microsecond {
+		t.Fatalf("after resume fires = %v, want 50µs and 60µs appended", fires)
+	}
+
+	tr.SetWindow(0, nil)
+	if _, ok := tr.NextWindowBoundary(); ok {
+		t.Fatal("NextWindowBoundary ok after the window was cleared")
 	}
 }

@@ -2,18 +2,17 @@ package obs
 
 import "ssdtp/internal/sim"
 
-// Aux sampling window (DESIGN.md §14). Alongside the timeline, a tracer can
-// carry one generic window: a fixed simulated-time interval whose boundary
-// crossings invoke a caller-supplied callback. The telemetry log page rides
-// this hook — obs stays ignorant of what is sampled, telemetry stays ignorant
-// of engine hooks, and the shard pump's conservative lookahead covers both
-// streams through NextTimelineBoundary.
+// Aux sampling window (DESIGN.md §14). A tracer can carry one generic
+// window: a fixed simulated-time interval whose boundary crossings invoke a
+// caller-supplied callback. The telemetry log page — the simulator's one
+// sampled record — rides this hook: obs stays ignorant of what is sampled,
+// telemetry stays ignorant of engine hooks, and the shard pump's
+// conservative lookahead covers the stream through NextWindowBoundary.
 //
-// Anchor semantics are identical to the timeline's: the first observation
-// only anchors the grid at the next absolute multiple of the interval (so a
-// restored clone and a from-scratch build align), and each later observation
-// fires once per crossed boundary, sampling *current* state at the boundary
-// timestamp.
+// The first observation only anchors the grid at the next absolute multiple
+// of the interval (so a restored clone and a from-scratch build align), and
+// each later observation fires once per crossed boundary, sampling *current*
+// state at the boundary timestamp.
 
 // window is a tracer's aux sampling state.
 type window struct {
@@ -25,9 +24,6 @@ type window struct {
 
 // observe advances the window to now, firing once per crossed boundary.
 func (w *window) observe(now sim.Time) {
-	if w.fire == nil {
-		return
-	}
 	if !w.inited {
 		w.inited = true
 		w.nextAt = (now/w.interval + 1) * w.interval
@@ -54,18 +50,15 @@ func (t *Tracer) SetWindow(interval sim.Time, fire func(at sim.Time)) {
 	t.win = &window{interval: interval, fire: fire}
 }
 
-// WindowInterval returns the aux window's sampling interval (0 = none).
-func (t *Tracer) WindowInterval() sim.Time {
-	if t == nil || t.win == nil {
-		return 0
-	}
-	return t.win.interval
-}
-
-// nextWindowBoundary mirrors NextTimelineBoundary for the aux window:
-// ok=false when no window is active, (0, true) before the grid is anchored.
-func (t *Tracer) nextWindowBoundary() (sim.Time, bool) {
-	if t == nil || t.win == nil || t.win.fire == nil || t.suspended {
+// NextWindowBoundary returns the simulated time of the window's next
+// boundary, or ok=false when no window is active (none set, or sampling
+// suspended). The parallel fleet engine caps its lookahead here: a boundary
+// samples *current* device state at the first event at or past it, so no
+// event beyond the boundary may fire before the row is captured. Before the
+// first observation anchors the grid it conservatively reports (0, true) —
+// callers treat that as "no lookahead until anchored".
+func (t *Tracer) NextWindowBoundary() (sim.Time, bool) {
+	if t == nil || t.win == nil || t.suspended {
 		return 0, false
 	}
 	if !t.win.inited {

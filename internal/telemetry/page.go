@@ -163,6 +163,26 @@ func appendRowJSON(line []byte, cell string, t sim.Time, p *Page) []byte {
 	return append(line, '}', '\n')
 }
 
+// appendRowCSV renders one row as a CSV line in the same field order as
+// appendRowJSON. The cell is always quoted, with embedded quotes doubled
+// (RFC 4180), so any label survives a CSV reader.
+func appendRowCSV(line []byte, cell string, t sim.Time, p *Page) []byte {
+	line = append(line, '"')
+	for i := 0; i < len(cell); i++ {
+		if cell[i] == '"' {
+			line = append(line, '"')
+		}
+		line = append(line, cell[i])
+	}
+	line = append(line, '"', ',')
+	line = strconv.AppendInt(line, int64(t), 10)
+	for _, v := range p.values() {
+		line = append(line, ',')
+		line = strconv.AppendInt(line, v, 10)
+	}
+	return append(line, '\n')
+}
+
 // appendJSONString quotes s as a JSON string (not strconv.Quote, whose \x
 // escapes are Go syntax, not JSON). Cell labels are plain ASCII in practice;
 // the escaping exists so arbitrary labels still produce a parseable stream.

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"io"
 
 	"ssdtp/internal/sim"
@@ -85,25 +84,5 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	bw := bufio.NewWriter(w)
-	if err := r.appendJSONL(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// appendJSONL writes the rows through an existing buffered writer.
-func (r *Recorder) appendJSONL(bw *bufio.Writer) error {
-	if r == nil {
-		return nil
-	}
-	var line []byte
-	for i := range r.rows {
-		row := &r.rows[i]
-		line = appendRowJSON(line[:0], row.Cell, row.T, &row.Page)
-		if _, err := bw.Write(line); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeRows(w, nil, []*Recorder{r}, appendRowJSON)
 }

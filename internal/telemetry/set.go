@@ -108,7 +108,7 @@ func (s *Set) WriteJSONL(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
-	return writeRecorders(w, s.recorders(false))
+	return writeRows(w, nil, s.recorders(false), appendRowJSON)
 }
 
 // WriteJSONLDone renders only cells marked done, in label order.
@@ -116,14 +116,37 @@ func (s *Set) WriteJSONLDone(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
-	return writeRecorders(w, s.recorders(true))
+	return writeRows(w, nil, s.recorders(true), appendRowJSON)
 }
 
-func writeRecorders(w io.Writer, recs []*Recorder) error {
+// WriteCSV renders the rows WriteJSONL renders, in the same order, as CSV:
+// a header naming cell, t_ns and the page fields, then one line per row. A
+// set with no rows writes the header alone; a nil set writes nothing.
+func (s *Set) WriteCSV(w io.Writer) error {
+	if s == nil {
+		return nil
+	}
+	header := []byte("cell,t_ns")
+	for _, f := range pageFields {
+		header = append(header, ',')
+		header = append(header, f...)
+	}
+	header = append(header, '\n')
+	return writeRows(w, header, s.recorders(false), appendRowCSV)
+}
+
+// writeRows writes header, then every row of recs encoded by enc. Write
+// errors are sticky in the bufio.Writer, so Flush reports the first.
+func writeRows(w io.Writer, header []byte, recs []*Recorder,
+	enc func([]byte, string, sim.Time, *Page) []byte) error {
 	bw := bufio.NewWriter(w)
+	bw.Write(header)
+	var line []byte
 	for _, r := range recs {
-		if err := r.appendJSONL(bw); err != nil {
-			return err
+		for i := range r.rows {
+			row := &r.rows[i]
+			line = enc(line[:0], row.Cell, row.T, &row.Page)
+			bw.Write(line)
 		}
 	}
 	return bw.Flush()

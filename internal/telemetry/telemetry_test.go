@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/csv"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -163,6 +165,82 @@ func TestSetOrderingAndDone(t *testing.T) {
 	var nilSet *Set
 	if nilSet.Cell("x") != nil || nilSet.Interval() != 0 {
 		t.Error("nil Set should hand out nil recorders")
+	}
+}
+
+// TestSetCSVMatchesJSONL pins the -timeline CSV as a second encoding of the
+// -telemetry stream: the same (cell, t, page) rows in the same order, with
+// cells quoted so a CSV reader recovers labels holding commas and quotes.
+func TestSetCSVMatchesJSONL(t *testing.T) {
+	s := NewSet(sim.Millisecond)
+	base := int64(0)
+	observe := func(r *Recorder, times ...sim.Time) {
+		for _, at := range times {
+			base += 100
+			p := testPage(base)
+			r.SetSource(func(q *Page) { *q = p })
+			r.Observe(at)
+		}
+	}
+	observe(s.Cell(`fig3/"b",4K`), sim.Millisecond, 2*sim.Millisecond)
+	observe(s.Cell("fig3/a"), sim.Millisecond)
+	adopted := NewRecorder("transparency/c", 100*sim.Microsecond)
+	observe(adopted, 100*sim.Microsecond, 200*sim.Microsecond, 300*sim.Microsecond)
+	s.Adopt(adopted)
+
+	var js, cs bytes.Buffer
+	if err := s.WriteJSONL(&js); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteCSV(&cs); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Parse(&js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(&cs).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := append([]string{"cell", "t_ns"}, pageFields[:]...)
+	if len(recs) == 0 {
+		t.Fatal("CSV is empty")
+	}
+	if !reflect.DeepEqual(recs[0], header) {
+		t.Fatalf("CSV header = %q, want %q", recs[0], header)
+	}
+	if len(recs)-1 != len(want) || len(want) != 6 {
+		t.Fatalf("CSV has %d rows, JSONL %d, want 6", len(recs)-1, len(want))
+	}
+	for i, rec := range recs[1:] {
+		got := Row{Cell: rec[0]}
+		vals := make([]int64, len(rec)-1)
+		for j, f := range rec[1:] {
+			if vals[j], err = strconv.ParseInt(f, 10, 64); err != nil {
+				t.Fatalf("row %d field %d: %v", i, j, err)
+			}
+		}
+		got.T = sim.Time(vals[0])
+		v := reflect.ValueOf(&got.Page).Elem()
+		for j := range pageFields {
+			v.Field(j).SetInt(vals[j+1])
+		}
+		if got != want[i] {
+			t.Fatalf("row %d: CSV %+v, JSONL %+v", i, got, want[i])
+		}
+	}
+
+	var empty, nilOut bytes.Buffer
+	if err := NewSet(sim.Millisecond).WriteCSV(&empty); err != nil {
+		t.Fatal(err)
+	}
+	if got := empty.String(); got != strings.Join(header, ",")+"\n" {
+		t.Errorf("empty set CSV = %q, want the header line alone", got)
+	}
+	var nilSet *Set
+	if err := nilSet.WriteCSV(&nilOut); err != nil || nilOut.Len() != 0 {
+		t.Errorf("nil set CSV = %q, %v; want nothing", nilOut.String(), err)
 	}
 }
 
