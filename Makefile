@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all test vet bench bench-diff determinism reproduce reproduce-full cover clean
+.PHONY: all test vet bench bench-diff profile determinism reproduce reproduce-full cover clean
 
 all: test vet
 
@@ -26,13 +26,13 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof mem.pprof"
 
-# The parallel-engine determinism suite at several scheduler widths: the
-# sharded fleet pump and the cell pool must be byte-identical to serial under
-# a single OS thread, a narrow one, and a wide one.
+# The determinism suite at several scheduler widths: the -parallel cell pool
+# must be byte-identical to serial under a single OS thread, a narrow one,
+# and a wide one.
 determinism:
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p $(GO) test ./internal/experiments/ ./internal/fleet/ \
-			-run 'TestShardByteIdenticalAcrossWorkers|TestParallelOutputByteIdentical|TestTraceByteIdenticalAcrossWorkers|TestTelemetryByteIdenticalAcrossWorkers|TestParallel' \
+			-run 'TestParallelOutputByteIdentical|TestTraceByteIdenticalAcrossWorkers|TestTelemetryByteIdenticalAcrossWorkers|TestParallel' \
 			-count=1 || exit 1; \
 	done
 

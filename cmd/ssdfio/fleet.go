@@ -32,7 +32,6 @@ type fleetOpts struct {
 	tenants  int
 	policy   string // stripe|hash
 	stripeKB int64
-	shard    int
 
 	pattern    workload.Pattern
 	size       int
@@ -133,7 +132,6 @@ func runFleet(cfg ssd.Config, o fleetOpts) {
 		devs[i] = dev
 	}
 	f := fleet.New(host, devs, stripe)
-	f.SetParallel(o.shard)
 	if tr != nil {
 		f.BindObs(tr)
 		// Tier-level log-page stream, summed across drives on host-clock

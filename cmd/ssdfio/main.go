@@ -12,11 +12,9 @@
 // instead: N drives of the chosen model behind a placement layer
 // (-placement stripe|hash, -stripe-kb), shared by -tenants copies of the
 // workload with distinct seeds, reporting per-tenant tail percentiles and GC
-// blast radius. -shard N advances independent drives concurrently inside
-// conservative lookahead windows (see internal/fleet); every output is
-// byte-identical for any value:
+// blast radius. The drives advance on one serial pump (see internal/fleet):
 //
-//	ssdfio -fleet 64 -tenants 4 -placement hash -model mqsim-base -ms 200 [-shard N]
+//	ssdfio -fleet 64 -tenants 4 -placement hash -model mqsim-base -ms 200
 //
 // All output-file flags are opened and validated before the simulation
 // starts, and write failures are reported with the flag and path they
@@ -28,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"ssdtp/internal/cliutil"
 	"ssdtp/internal/fleet"
@@ -65,7 +62,6 @@ func main() {
 	tenants := flag.Int("tenants", 4, "fleet mode: tenants sharing the tier, each running the flag-configured workload")
 	placement := flag.String("placement", "stripe", "fleet mode: placement policy: stripe|hash")
 	stripeKB := flag.Int64("stripe-kb", 256, "fleet mode: placement stripe size in KiB")
-	shard := flag.Int("shard", runtime.GOMAXPROCS(0), "fleet mode: drive shards advanced concurrently (results are identical for any value)")
 	flag.Parse()
 	pages := *telemetryFile != "" || *timelineFile != "" || *httpAddr != ""
 	cliutil.MustInterval("telemetry-ms", *telemetryMS, pages)
@@ -151,7 +147,6 @@ func main() {
 		}
 		runFleet(cfg, fleetOpts{
 			drives: nDrives, tenants: *tenants, policy: *placement, stripeKB: *stripeKB,
-			shard:   *shard,
 			pattern: pat, size: *size, qd: *qd, intervalUS: *intervalUS,
 			readFrac: *readFrac, seed: *seed, ms: *ms, prefill: *prefill,
 			col: col, ts: ts, traceOut: traceOut, perfettoOut: perfettoOut,

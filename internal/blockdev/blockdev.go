@@ -38,7 +38,7 @@ type Device interface {
 // device of the given size and sector size. Implementations share it so all
 // devices agree on error semantics.
 func CheckAccess(size int64, sector int, off, n int64) error {
-	if off < 0 || n < 0 || off+n > size {
+	if off < 0 || n < 0 || off > size || n > size-off {
 		return fmt.Errorf("%w: off=%d len=%d size=%d", ErrOutOfBounds, off, n, size)
 	}
 	if off%int64(sector) != 0 || n%int64(sector) != 0 {

@@ -3,6 +3,7 @@ package blockdev
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -49,6 +50,10 @@ func TestBoundsAndAlignment(t *testing.T) {
 	}
 	if err := d.ReadAt(make([]byte, 512), -512); !errors.Is(err, ErrOutOfBounds) {
 		t.Errorf("negative off err = %v", err)
+	}
+	// off+n wraps negative; the range must still be out of bounds.
+	if err := CheckAccess(4096, 512, math.MaxInt64&^4095, 8192); !errors.Is(err, ErrOutOfBounds) {
+		t.Errorf("overflowing range err = %v", err)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // Pinned artifact digests: the determinism suites compare runs within one
-// build (workers, shard widths, cache modes); these compare each rendered
+// build (workers, GOMAXPROCS, cache modes); these compare each rendered
 // artifact against the sha256 committed in testdata/digests.txt, so a
 // refactor that changes any byte of a table, trace export, telemetry stream
 // or ONFI probe capture fails even when it stays self-consistent.

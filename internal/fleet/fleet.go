@@ -22,22 +22,8 @@
 // of host-side worker counts. The drives are shards of a sim.ShardGroup,
 // whose calendar finds the earliest drive event in O(log drives); every path
 // here that changes a drive outside the group (sync, submission, flush)
-// re-keys it with Touch.
-//
-// # Parallel prefetch
-//
-// With SetParallel, the pump additionally opens conservative-lookahead
-// windows (DESIGN.md §11): each drive's busy predicate is
-// ssd.Device.CompletionFloor, so the group horizon — also capped by the host
-// engine's next event and the cell tracer's next window boundary (the
-// log-page sampling grid) — bounds when any drive can next call back into
-// host state.
-// Everything strictly before the horizon is drive-internal and fires
-// concurrently across worker goroutines; the instants those batches fired at
-// come back from AdvanceBefore, and the pump re-arms through them as "ghost"
-// pumps so the host engine sees the exact event stream (count, times,
-// sequence numbers, hook calls) the serial pump would have produced. Output
-// therefore stays byte-identical at any worker count.
+// re-keys it with Touch. The pump is serial; DESIGN.md §11 gives the
+// measurements behind that.
 //
 // # Attribution
 //
@@ -103,19 +89,8 @@ type Fleet struct {
 	freeReq *volReq
 	freeSub *volSub
 
-	// group shards the drive engines for conservative-lookahead prefetch;
-	// parallel gates it (SetParallel). ghosts are the fleet times of batches
-	// a window already fired, still owed one pump firing each so the host
-	// engine's event stream matches the serial pump's exactly. prefetching
-	// is the in-window assertion flag: a host-visible completion while it is
-	// set means a drive violated its completion floor.
-	group       *sim.ShardGroup
-	parallel    bool
-	ghosts      []sim.Time
-	prefetching bool
-	// prefetchedBatches counts event batches fired inside windows — coverage
-	// telemetry for tests; never exported (it would differ from serial runs).
-	prefetchedBatches int64
+	// group is the drive engines' shard calendar; the pump steps it.
+	group *sim.ShardGroup
 }
 
 // New assembles a tier over devs on the host engine eng. Each device must be
@@ -131,7 +106,7 @@ func New(eng *sim.Engine, devs []*ssd.Device, stripeBytes int64) *Fleet {
 		panic(fmt.Sprintf("fleet: stripe %d not a positive multiple of sector %d", stripeBytes, f.sector))
 	}
 	f.drives = make([]*drive, len(devs))
-	f.group = sim.NewShardGroup(1)
+	f.group = sim.NewShardGroup()
 	for i, dev := range devs {
 		if dev.Engine() == eng {
 			panic("fleet: drives must not share the host engine")
@@ -146,23 +121,16 @@ func New(eng *sim.Engine, devs []*ssd.Device, stripeBytes int64) *Fleet {
 				d.hasRow = true
 			})
 		}
-		dev.TrackCompletions()
-		f.group.Attach(d.eng, d.base, dev.CompletionFloor)
+		f.group.Attach(d.eng, d.base)
 		f.drives[i] = d
 	}
 	f.armPump()
 	return f
 }
 
-// SetParallel turns conservative-lookahead prefetch on with the given worker
-// count, or off again with workers <= 1 (the default). Output is byte-
-// identical at every setting; parallelism only changes wall-clock time.
-func (f *Fleet) SetParallel(workers int) {
-	f.parallel = workers > 1
-	if f.parallel {
-		f.group.SetWorkers(workers)
-	}
-}
+// SetParallel is a no-op kept so existing callers still build: the pump is
+// serial (DESIGN.md §11), and workers is ignored.
+func (f *Fleet) SetParallel(workers int) {}
 
 // Engine returns the host engine.
 func (f *Fleet) Engine() *sim.Engine { return f.eng }
@@ -188,19 +156,14 @@ func (f *Fleet) syncDrive(d *drive) {
 	f.group.Touch(d.idx)
 }
 
-// armPump (re)schedules the pump at the earliest pending drive event — or,
-// when a prefetch window left ghost instants to replay, at the next ghost
-// (always earlier than every remaining drive event). The invariant — no
-// drive event is due before the armed pump — holds because drives only gain
-// events while being stepped or synced at fleet-now, so every new event's
-// fleet time is >= now. A drive event due before now means some path changed
-// a drive without re-keying it in the calendar; that is a bug, and stepping
-// on would silently reorder events, so it panics.
+// armPump (re)schedules the pump at the earliest pending drive event. The
+// invariant — no drive event is due before the armed pump — holds because
+// drives only gain events while being stepped or synced at fleet-now, so
+// every new event's fleet time is >= now. A drive event due before now means
+// some path changed a drive without re-keying it in the calendar; that is a
+// bug, and stepping on would silently reorder events, so it panics.
 func (f *Fleet) armPump() {
 	di, next, ok := f.group.Next()
-	if len(f.ghosts) > 0 {
-		di, next, ok = -1, f.ghosts[0], true
-	}
 	if f.pump.Pending() {
 		if ok && f.pump.Time() == next {
 			return
@@ -211,9 +174,6 @@ func (f *Fleet) armPump() {
 		return
 	}
 	if now := f.eng.Now(); next < now {
-		if di < 0 {
-			panic(fmt.Sprintf("fleet: window ghost at fleet time %d, before now=%d", next, now))
-		}
 		panic(fmt.Sprintf("fleet: stale shard calendar: drive %d next event at fleet time %d, before now=%d",
 			di, next, now))
 	}
@@ -221,54 +181,12 @@ func (f *Fleet) armPump() {
 }
 
 // pumpFire steps every due drive event in (fleet time, drive index) order —
-// sim.ShardGroup's total order over the drive shards — then, in parallel
-// mode with no ghosts left to replay, opens the next prefetch window before
-// re-arming. Completion callbacks fired here run tenant logic (latency
-// recording, follow-on submissions) at the correct host-clock instant. At a
-// ghost instant the due-event step is a no-op (the window already fired that
-// batch); the firing itself keeps the host engine's event stream identical
-// to the serial pump's.
+// sim.ShardGroup's total order over the drive shards — then re-arms.
+// Completion callbacks fired here run tenant logic (latency recording,
+// follow-on submissions) at the correct host-clock instant.
 func (f *Fleet) pumpFire() {
-	now := f.eng.Now()
-	if len(f.ghosts) > 0 && f.ghosts[0] == now {
-		f.ghosts = f.ghosts[1:]
-	}
-	f.group.RunUntil(now)
-	if f.parallel && len(f.ghosts) == 0 {
-		f.prefetch()
-	}
+	f.group.RunUntil(f.eng.Now())
 	f.armPump()
-}
-
-// prefetch opens one conservative-lookahead window: every drive event
-// strictly before the horizon is internal to its drive, so the group fires
-// them concurrently. The horizon is the minimum of the host engine's next
-// event (no submission may land on a drive that has run ahead of it) and
-// every busy drive's completion floor (no host-visible completion may fire
-// inside the window), further capped by the cell tracer's next window
-// boundary (a log-page row samples current drive state at the first host
-// event past it, so no drive may run ahead of an unsampled boundary).
-//
-// With neither a host event pending nor a request outstanding anywhere, the
-// window stays shut: the host run loop can only decide to stop at such a
-// point (workload generators signal done when their last request drains),
-// and events fired beyond its last instant would diverge from the serial
-// run's final drive state. The window cap deliberately cannot open a
-// window on its own — it only tightens one justified by the host queue or a
-// floor.
-func (f *Fleet) prefetch() {
-	limit, bounded := f.eng.NextEventTime()
-	h, ok := f.group.Horizon(limit, bounded)
-	if !ok {
-		return
-	}
-	if tb, tok := f.tr.NextWindowBoundary(); tok && tb < h {
-		h = tb
-	}
-	f.prefetching = true
-	f.ghosts = f.group.AdvanceBefore(h, true)
-	f.prefetching = false
-	f.prefetchedBatches += int64(len(f.ghosts))
 }
 
 // volRow is one tenant request's blast-radius accounting: end-to-end latency
@@ -407,7 +325,7 @@ func (v *Volume) split(frags []frag, off, length int64) []frag {
 
 // checkIO validates a request against the volume's bounds and alignment.
 func (v *Volume) checkIO(off, n int64) error {
-	if off < 0 || n <= 0 || off+n > v.size {
+	if off < 0 || n <= 0 || off > v.size || n > v.size-off {
 		return fmt.Errorf("fleet %s: access [%d,+%d) beyond size %d", v.name, off, n, v.size)
 	}
 	if s := int64(v.f.sector); off%s != 0 || n%s != 0 {
@@ -484,9 +402,6 @@ func (f *Fleet) newSub() *volSub {
 func (s *volSub) complete() {
 	r := s.req
 	f := r.v.f
-	if f.prefetching {
-		panic("fleet: completion inside a prefetch window (drive violated its completion floor)")
-	}
 	f.group.Touch(s.d.idx)
 	if row, ok := s.d.takeRow(); ok {
 		g := row.Phases[obs.PhaseGCStall]
@@ -597,9 +512,6 @@ func (v *Volume) FlushAsync(done func()) error {
 		d := v.f.drives[di]
 		v.f.syncDrive(d)
 		err := d.dev.FlushAsync(func() {
-			if v.f.prefetching {
-				panic("fleet: flush completion inside a prefetch window (drive violated its completion floor)")
-			}
 			v.f.group.Touch(di)
 			d.takeRow() // consume; flush rows don't charge a request
 			remaining--

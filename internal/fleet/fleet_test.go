@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"ssdtp/internal/obs"
@@ -115,6 +116,10 @@ func TestVolumeCapacityAndBounds(t *testing.T) {
 	}
 	if err := v.ReadAsync(-4096, nil, 4096, nil); err == nil {
 		t.Error("negative-offset read accepted")
+	}
+	// off+n wraps negative; the range must still be rejected.
+	if err := v.WriteAsync(math.MaxInt64&^4095, nil, 8192, nil); err == nil {
+		t.Error("overflowing range accepted")
 	}
 }
 
@@ -307,54 +312,51 @@ func TestFleetPublishMetrics(t *testing.T) {
 // host event sequence number, which can reorder same-instant host events).
 // Every completion here checks it, then submits a follow-on write.
 func TestFleetCalendarExactInCompletions(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		f := testFleet(t, 6, 256*1024)
-		f.SetParallel(workers)
-		v, err := f.AddVolume("a", []int{0, 1, 2, 3, 4, 5}, 12*1024*1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var (
-			issued, completed int
-			off               int64
-			submit            func()
-		)
-		const total, depth = 2000, 6
-		done := func() {
-			completed++
-			best, bt := -1, sim.Time(0)
-			for i, d := range f.drives {
-				if et, ok := d.eng.NextEventTime(); ok {
-					if gt := et - d.base; best < 0 || gt < bt {
-						best, bt = i, gt
-					}
+	f := testFleet(t, 6, 256*1024)
+	v, err := f.AddVolume("a", []int{0, 1, 2, 3, 4, 5}, 12*1024*1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		issued, completed int
+		off               int64
+		submit            func()
+	)
+	const total, depth = 2000, 6
+	done := func() {
+		completed++
+		best, bt := -1, sim.Time(0)
+		for i, d := range f.drives {
+			if et, ok := d.eng.NextEventTime(); ok {
+				if gt := et - d.base; best < 0 || gt < bt {
+					best, bt = i, gt
 				}
 			}
-			if gi, gt, ok := f.group.Next(); ok != (best >= 0) || (ok && (gi != best || gt != bt)) {
-				t.Fatalf("workers %d, completion %d: calendar min (%d, %d, %v), scan (%d, %d)",
-					workers, completed, gi, gt, ok, best, bt)
-			}
-			submit()
 		}
-		submit = func() {
-			if issued == total {
-				return
-			}
-			issued++
-			// 16 KiB steps of 20 KiB stride: some writes straddle a stripe.
-			if err := v.WriteAsync(off, nil, 16<<10, done); err != nil {
-				t.Fatal(err)
-			}
-			if off += 20 << 10; off+16<<10 > v.Size() {
-				off = 0
-			}
+		if gi, gt, ok := f.group.Next(); ok != (best >= 0) || (ok && (gi != best || gt != bt)) {
+			t.Fatalf("completion %d: calendar min (%d, %d, %v), scan (%d, %d)",
+				completed, gi, gt, ok, best, bt)
 		}
-		for i := 0; i < depth; i++ {
-			submit()
+		submit()
+	}
+	submit = func() {
+		if issued == total {
+			return
 		}
-		f.Engine().RunWhile(func() bool { return completed < total })
-		if completed != total {
-			t.Fatalf("workers %d: %d of %d writes completed", workers, completed, total)
+		issued++
+		// 16 KiB steps of 20 KiB stride: some writes straddle a stripe.
+		if err := v.WriteAsync(off, nil, 16<<10, done); err != nil {
+			t.Fatal(err)
 		}
+		if off += 20 << 10; off+16<<10 > v.Size() {
+			off = 0
+		}
+	}
+	for i := 0; i < depth; i++ {
+		submit()
+	}
+	f.Engine().RunWhile(func() bool { return completed < total })
+	if completed != total {
+		t.Fatalf("%d of %d writes completed", completed, total)
 	}
 }

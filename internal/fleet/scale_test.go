@@ -61,7 +61,6 @@ func TestFleetMaxScaleSmoke(t *testing.T) {
 		devs[i] = dev
 	}
 	f := New(host, devs, 256*1024)
-	f.SetParallel(4)
 
 	// A handful of tenants on narrow groups: most of the tier stays
 	// untouched, which is exactly the fleet shape COW images exist for.

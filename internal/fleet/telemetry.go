@@ -22,8 +22,7 @@ func (f *Fleet) FillLogPage(p *telemetry.Page) {
 
 // AttachTelemetry streams the fleet-level log page into rec on the host
 // clock's aligned boundaries. Call after BindObs (the window rides the cell
-// tracer's engine hook; the shard pump's lookahead already respects it via
-// NextWindowBoundary). A nil recorder detaches.
+// tracer's engine hook). A nil recorder detaches.
 func (f *Fleet) AttachTelemetry(rec *telemetry.Recorder) {
 	if rec == nil {
 		f.tr.SetWindow(0, nil)
@@ -56,7 +55,7 @@ func (v *Volume) tenantPage() telemetry.Page {
 
 // TenantTelemetry returns the per-tenant telemetry/attribution join, one row
 // per volume in creation order. Pure function of current simulation state —
-// deterministic at any shard count once the run has drained.
+// deterministic at any worker count once the run has drained.
 func (f *Fleet) TenantTelemetry() []TenantTelemetry {
 	out := make([]TenantTelemetry, 0, len(f.vols))
 	for _, v := range f.vols {

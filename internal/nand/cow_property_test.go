@@ -118,7 +118,7 @@ func TestChipCowVsDeepCopyProperty(t *testing.T) {
 }
 
 // Concurrent clones from one sealed image: the fleet restores one cached
-// DeviceState into many drives, possibly from different shard workers. Under
+// DeviceState into many drives, possibly from concurrent grid cells. Under
 // -race this fails if Restore writes anything reachable from another clone —
 // the design holds because restore only reads the image and share bits are
 // per-chip.

@@ -6,8 +6,7 @@ import "ssdtp/internal/sim"
 // window: a fixed simulated-time interval whose boundary crossings invoke a
 // caller-supplied callback. The telemetry log page — the simulator's one
 // sampled record — rides this hook: obs stays ignorant of what is sampled,
-// telemetry stays ignorant of engine hooks, and the shard pump's
-// conservative lookahead covers the stream through NextWindowBoundary.
+// and telemetry stays ignorant of engine hooks.
 //
 // The first observation only anchors the grid at the next absolute multiple
 // of the interval (so a restored clone and a from-scratch build align), and
@@ -48,21 +47,4 @@ func (t *Tracer) SetWindow(interval sim.Time, fire func(at sim.Time)) {
 		return
 	}
 	t.win = &window{interval: interval, fire: fire}
-}
-
-// NextWindowBoundary returns the simulated time of the window's next
-// boundary, or ok=false when no window is active (none set, or sampling
-// suspended). The parallel fleet engine caps its lookahead here: a boundary
-// samples *current* device state at the first event at or past it, so no
-// event beyond the boundary may fire before the row is captured. Before the
-// first observation anchors the grid it conservatively reports (0, true) —
-// callers treat that as "no lookahead until anchored".
-func (t *Tracer) NextWindowBoundary() (sim.Time, bool) {
-	if t == nil || t.win == nil || t.suspended {
-		return 0, false
-	}
-	if !t.win.inited {
-		return 0, true
-	}
-	return t.win.nextAt, true
 }

@@ -236,11 +236,9 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) Event {
 // release recycles a node that left the queue: the generation bump makes
 // every outstanding handle inert, the callback reference is dropped so the
 // closure becomes collectable, and the node joins the freelist for the next
-// At.
-// release recycles a node. It touches only the node's first cache line:
-// argFn/arg are cleared by whoever ends an arg tenancy (Step's arg path,
-// Cancel), so plain-Schedule traffic — the dominant case — never reads or
-// writes the spill fields.
+// At. It touches only the node's first cache line: argFn/arg are cleared by
+// whoever ends an arg tenancy (Step's arg path, Cancel), so plain-Schedule
+// traffic — the dominant case — never reads or writes the spill fields.
 func (e *Engine) release(n *node) {
 	n.gen++
 	n.fn = nil

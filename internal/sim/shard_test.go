@@ -3,20 +3,13 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
-// Property tests for ShardGroup (ISSUE 7 satellite): randomized
-// schedule/cancel/rebase programs replayed against the retained sequential
-// reference scheduler (refheap_test.go) extended to a multi-shard group,
-// demanding identical firing order — and replayed again through
-// conservative-horizon parallel windows at several worker counts, demanding
-// per-shard identical outcomes regardless of how the run is windowed.
-//
-// Callbacks confine all effects to their own shard (the only usage the
-// horizon contract admits), so any window is legal here and the windowed run
-// must match the serial one exactly.
+// Property tests for ShardGroup: randomized schedule/cancel/rebase programs
+// replayed against the retained sequential reference scheduler
+// (refheap_test.go) extended to a multi-shard group, demanding identical
+// firing order.
 
 // refPeek pops lazily-canceled heads and returns the live head's time.
 func refPeek(e *refEngine) (Time, bool) {
@@ -83,9 +76,8 @@ type fired struct {
 	at Time
 }
 
-// shardState is the per-shard world a program's callbacks may touch. In the
-// windowed executions different shards fire concurrently, so everything here
-// must stay shard-private — including the rng that drives callback behavior,
+// shardState is the per-shard world a program's callbacks may touch. All of
+// it is shard-private — including the rng that drives callback behavior,
 // whose draw order is per-shard deterministic.
 type shardState struct {
 	rng     *rand.Rand
@@ -114,23 +106,15 @@ type realBackend struct {
 	engs  []*Engine
 	group *ShardGroup
 	bases []Time
-	// windowed drives runUntil/drain through AdvanceBefore windows instead
-	// of serial Step, using wrng to pick horizons. wrng only shapes the
-	// window partition; outcomes must not depend on it.
-	windowed bool
-	wrng     *rand.Rand
-	// windowTimes accumulates AdvanceBefore's returned batch times.
-	windowTimes []Time
 }
 
-func newRealBackend(nShards, workers int, windowed bool, wseed int64) *realBackend {
-	b := &realBackend{windowed: windowed, wrng: rand.New(rand.NewSource(wseed))}
-	b.group = NewShardGroup(workers)
+func newRealBackend(nShards int) *realBackend {
+	b := &realBackend{group: NewShardGroup()}
 	for i := 0; i < nShards; i++ {
 		e := NewEngine()
 		b.engs = append(b.engs, e)
 		b.bases = append(b.bases, 0)
-		b.group.Attach(e, 0, nil)
+		b.group.Attach(e, 0)
 	}
 	return b
 }
@@ -157,44 +141,12 @@ func (b *realBackend) touchAll() {
 
 func (b *realBackend) runUntil(t Time) {
 	b.touchAll()
-	if !b.windowed {
-		b.group.RunUntil(t)
-		return
-	}
-	for {
-		next, ok := b.group.NextTime()
-		if !ok || next > t {
-			return
-		}
-		// Random horizon past the next event: windows of varying width,
-		// capped so nothing beyond the requested time fires (< t+1 ⇔ <= t).
-		h := next + 1 + Time(b.wrng.Intn(400))
-		if h > t+1 {
-			h = t + 1
-		}
-		b.windowTimes = append(b.windowTimes, b.group.AdvanceBefore(h, true)...)
-	}
+	b.group.RunUntil(t)
 }
 
 func (b *realBackend) drain() {
 	b.touchAll()
-	if !b.windowed {
-		for b.group.Step() {
-		}
-		return
-	}
-	// Alternate bounded windows with an occasional unbounded one.
-	for {
-		next, ok := b.group.NextTime()
-		if !ok {
-			return
-		}
-		if b.wrng.Intn(4) == 0 {
-			b.windowTimes = append(b.windowTimes, b.group.AdvanceBefore(0, false)...)
-			continue
-		}
-		h := next + 1 + Time(b.wrng.Intn(400))
-		b.windowTimes = append(b.windowTimes, b.group.AdvanceBefore(h, true)...)
+	for b.group.Step() {
 	}
 }
 
@@ -263,7 +215,7 @@ func genProgram(rng *rand.Rand) (nShards int, ops []progOp) {
 
 // runProgram replays ops on b. Callback behavior draws from per-shard rngs
 // seeded from seed, so every execution of the same program behaves
-// identically regardless of backend or windowing.
+// identically regardless of backend.
 func runProgram(b backend, seed int64, nShards int, ops []progOp) []*shardState {
 	states := make([]*shardState, nShards)
 	for i := range states {
@@ -326,7 +278,7 @@ func runProgram(b backend, seed int64, nShards int, ops []progOp) []*shardState 
 }
 
 // mergeLogs flattens per-shard logs into the (time, shard, log order) total
-// order — the global firing order for serial executions.
+// order — the global firing order.
 func mergeLogs(states []*shardState) []fired {
 	var out []fired
 	idx := make([]int, len(states))
@@ -369,9 +321,8 @@ func equalStates(a, b []*shardState) bool {
 }
 
 // TestShardGroupMatchesReference replays randomized programs on the sharded
-// engine (serial stepping) and the reference group, demanding the identical
-// global firing order, then replays them again through parallel windows at
-// several worker counts and demands identical per-shard outcomes.
+// engine and the reference group, demanding the identical global firing
+// order.
 func TestShardGroupMatchesReference(t *testing.T) {
 	programs := 10000
 	if testing.Short() {
@@ -382,7 +333,7 @@ func TestShardGroupMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		nShards, ops := genProgram(rng)
 
-		real := newRealBackend(nShards, 1, false, 0)
+		real := newRealBackend(nShards)
 		realStates := runProgram(real, seed, nShards, ops)
 		ref := newRefBackend(nShards)
 		refStates := runProgram(ref, seed, nShards, ops)
@@ -399,129 +350,12 @@ func TestShardGroupMatchesReference(t *testing.T) {
 				t.Fatalf("program %d: merged log diverges at %d: %+v vs %+v", p, i, rm[i], fm[i])
 			}
 		}
-
-		// Windowed parallel executions: same program, same per-shard rng
-		// seeds, different window partitions and worker counts. Outcomes
-		// must be independent of both.
-		if p%5 != 0 {
-			continue
-		}
-		for _, workers := range []int{2, 4} {
-			wb := newRealBackend(nShards, workers, true, seed^int64(workers)<<32)
-			wStates := runProgram(wb, seed, nShards, ops)
-			if !equalStates(wStates, realStates) {
-				t.Fatalf("program %d: windowed (workers=%d) vs serial diverged", p, workers)
-			}
-			for i, e := range wb.engs {
-				if got, want := e.Now(), real.engs[i].Now(); got != want {
-					t.Fatalf("program %d: shard %d clock %d vs serial %d (workers=%d)",
-						p, i, got, want, workers)
-				}
-				if got, want := e.Pending(), real.engs[i].Pending(); got != want {
-					t.Fatalf("program %d: shard %d pending %d vs serial %d", p, i, got, want)
-				}
-			}
-			// AdvanceBefore's returned batch times must be exactly the
-			// distinct group times the serial run fired at (after the window
-			// phases began — here all windows, so compare against the whole
-			// distinct fired-time list).
-			var want []Time
-			for _, e := range mergeLogs(realStates) {
-				if len(want) == 0 || want[len(want)-1] != e.at {
-					want = append(want, e.at)
-				}
-			}
-			got := sortDedup(wb.windowTimes)
-			if len(got) != len(want) {
-				t.Fatalf("program %d: window batch times %d vs fired instants %d", p, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("program %d: window batch time[%d]=%d, want %d", p, i, got[i], want[i])
-				}
-			}
-		}
 	}
-}
-
-// sortDedup sorts and de-duplicates window batch times. Later program phases
-// can schedule roots at group times earlier than instants already fired on
-// other shards, so the concatenation of per-window ascending runs is not
-// globally ascending.
-func sortDedup(ts []Time) []Time {
-	sort.Slice(ts, func(a, b int) bool { return ts[a] < ts[b] })
-	var out []Time
-	for _, t := range ts {
-		if len(out) == 0 || out[len(out)-1] != t {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// TestShardGroupHorizon pins Horizon's min-combination semantics under the
-// busy predicate: a busy shard bounds the horizon at its next event's group
-// time; an idle shard, a shard with no predicate and a busy shard with no
-// events do not; the caller's limit caps the result.
-func TestShardGroupHorizon(t *testing.T) {
-	g := NewShardGroup(1)
-	e0, e1, e2 := NewEngine(), NewEngine(), NewEngine()
-	busy0 := false
-	g.Attach(e0, 0, func() bool { return busy0 })
-	g.Attach(e1, 0, nil)
-	g.Attach(e2, 10, func() bool { return true })
-	nop := func() {}
-
-	check := func(what string, limit Time, bounded bool, want Time, wantOK bool) {
-		t.Helper()
-		if h, ok := g.Horizon(limit, bounded); h != want || ok != wantOK {
-			t.Fatalf("%s: Horizon(%d,%v) = (%d,%v), want (%d,%v)", what, limit, bounded, h, ok, want, wantOK)
-		}
-	}
-	check("no events, unbounded caller", 0, false, 0, false)
-	check("caller limit alone", 100, true, 100, true)
-
-	e0.Schedule(40, nop)
-	e1.Schedule(20, nop)
-	g.Touch(0)
-	g.Touch(1)
-	check("idle shard and predicate-free shard", 100, true, 100, true)
-	check("idle shard, unbounded caller", 0, false, 0, false)
-
-	busy0 = true
-	check("busy shard below limit", 100, true, 40, true)
-	check("busy shard, unbounded caller", 0, false, 40, true)
-	check("limit below busy shard", 30, true, 30, true)
-
-	e2.Schedule(25, nop) // group time 25 - 10 = 15
-	g.Touch(2)
-	check("earliest busy shard wins", 100, true, 15, true)
-	e2.Run()
-	g.Touch(2)
-	check("busy shard drained", 100, true, 40, true)
-}
-
-// TestShardGroupPanicPropagates ensures a worker panic surfaces on the
-// caller after all workers stop, not as a crashed goroutine.
-func TestShardGroupPanicPropagates(t *testing.T) {
-	g := NewShardGroup(2)
-	for i := 0; i < 2; i++ {
-		e := NewEngine()
-		e.Schedule(10, func() { panic("model bug") })
-		g.Attach(e, 0, nil)
-	}
-	defer func() {
-		if r := recover(); r != "model bug" {
-			t.Fatalf("recovered %v, want worker panic", r)
-		}
-	}()
-	g.AdvanceBefore(0, false)
-	t.Fatal("AdvanceBefore returned despite worker panic")
 }
 
 // TestShardCalendarMatchesScan drives random external Schedule, Cancel and
 // Rebase sequences on a group's engines, Touching the changed shards in a
-// random order, interleaved with group Steps and windows, and demands that
+// random order, interleaved with group Steps and RunUntils, and demands that
 // the calendar's minimum equal a brute-force scan of the engines and that
 // the heap and its slot index stay consistent.
 func TestShardCalendarMatchesScan(t *testing.T) {
@@ -533,7 +367,7 @@ func TestShardCalendarMatchesScan(t *testing.T) {
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(40)
-		g := NewShardGroup(1 + rng.Intn(3))
+		g := NewShardGroup()
 		engs := make([]*Engine, n)
 		bases := make([]Time, n)
 		events := make([][]Event, n)
@@ -541,7 +375,7 @@ func TestShardCalendarMatchesScan(t *testing.T) {
 			engs[i] = NewEngine()
 			bases[i] = Time(rng.Intn(500))
 			engs[i].Rebase(bases[i])
-			g.Attach(engs[i], bases[i], nil)
+			g.Attach(engs[i], bases[i])
 		}
 		dirty := map[int]bool{}
 		touchDirty := func() {
@@ -577,7 +411,7 @@ func TestShardCalendarMatchesScan(t *testing.T) {
 			case k < 9:
 				touchDirty()
 				if next, ok := g.NextTime(); ok {
-					g.AdvanceBefore(next+Time(rng.Intn(30)), true)
+					g.RunUntil(next + Time(rng.Intn(30)))
 				}
 			default:
 				touchDirty()

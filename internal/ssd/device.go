@@ -73,13 +73,6 @@ type Device struct {
 	hostBytesRead    int64
 
 	inflightFlushes int
-
-	// Outstanding-completion accounting for the parallel fleet engine
-	// (DESIGN.md §11). Off by default so single-device hot paths pay one
-	// branch per submission and allocate nothing extra; TrackCompletions
-	// turns it on before any I/O is submitted.
-	trackOutstanding bool
-	outstanding      int
 }
 
 // contentChunkSectors is the payload store's chunk length in sectors (64 KiB
@@ -148,25 +141,6 @@ func (d *Device) Engine() *sim.Engine { return d.eng }
 // above the device (hostif) can annotate the same trace stream.
 func (d *Device) Tracer() *obs.Tracer { return d.tr }
 
-// TrackCompletions enables outstanding-request accounting: every accepted
-// async submission counts as outstanding until its done callback fires.
-// Must be enabled before the first submission (counts would otherwise go
-// negative); the fleet enables it at drive attach.
-func (d *Device) TrackCompletions() { d.trackOutstanding = true }
-
-// CompletionFloor reports whether the device's next engine event is a floor
-// on its next host-visible completion: true while any request is
-// outstanding. false means it never can complete anything from its current
-// state — with no request outstanding every queued event is device-internal
-// (background GC, patrol timers) — so its events bound nothing. This is the
-// busy predicate of a sim.ShardGroup shard. Requires TrackCompletions.
-//
-// The floor is the engine's next-event time: a completion only ever fires
-// from inside an event, so nothing host-visible can happen earlier. The
-// write cache can complete a host write with no NAND op in flight, so the
-// floor must come from the event queue rather than from the channel buses.
-func (d *Device) CompletionFloor() bool { return d.outstanding > 0 }
-
 // Boot runs the controller's power-on sequence (chip enumeration). Optional
 // for experiments that only need the data path; reverse-engineering rigs
 // call it while probes are attached.
@@ -206,7 +180,7 @@ func (d *Device) HostBytesRead() int64 { return d.hostBytesRead }
 
 // checkIO validates an async I/O range.
 func (d *Device) checkIO(off, n int64) error {
-	if off < 0 || n < 0 || off+n > d.Size() {
+	if off < 0 || n < 0 || off > d.Size() || n > d.Size()-off {
 		return fmt.Errorf("ssd %s: access [%d,+%d) beyond size %d", d.cfg.Name, off, n, d.Size())
 	}
 	if off%int64(d.sectorSize) != 0 || n%int64(d.sectorSize) != 0 {
@@ -365,8 +339,6 @@ func (d *Device) PublishMetrics(tr *obs.Tracer) {
 	}
 }
 
-// NANDPageTicks returns the combined host+FTL "NAND Pages" counter, the
-// quantity Figure 4 divides host bytes by.
 // MemStats returns chunk-level memory accounting summed over the drive's
 // COW-backed state: every chip's arrays plus the FTL's mapping tables. A
 // freshly cloned drive reports all-shared (it owns nothing yet); OwnedBytes
@@ -400,6 +372,8 @@ func (d *Device) VisitSharedChunks(f func(id any, bytes int64)) {
 	}
 }
 
+// NANDPageTicks returns the combined host+FTL "NAND Pages" counter, the
+// quantity Figure 4 divides host bytes by.
 func (d *Device) NANDPageTicks() int64 {
 	c := d.fl.Counters()
 	page := int64(d.cfg.Geometry.PageSize)

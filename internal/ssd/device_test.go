@@ -3,6 +3,7 @@ package ssd
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -51,6 +52,10 @@ func TestDeviceBounds(t *testing.T) {
 	}
 	if err := d.ReadAsync(100, nil, 4096, nil); err == nil {
 		t.Error("unaligned read accepted")
+	}
+	// off+n wraps negative; the range must still be rejected.
+	if err := d.WriteAsync(math.MaxInt64&^4095, nil, 8192, nil); err == nil {
+		t.Error("overflowing range accepted")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // query — every field is device ground truth a controller could cheaply
 // expose — and AttachTelemetry wires periodic sampling of it onto the
 // tracer's aux window so the stream lands on aligned simulated-clock
-// boundaries, byte-identical at any -parallel/-shard setting.
+// boundaries, byte-identical at any -parallel setting.
 
 // FillLogPage fills p with the device's current transparency log page.
 // Counters are cumulative since construction; gauges are instantaneous.

@@ -82,7 +82,7 @@ func replayable(dev Target, op blockdev.Op) bool {
 // checked n <= Size (replayable), so the folded range always fits.
 func clampOff(dev Target, off, n int64) int64 {
 	size := dev.Size()
-	if off+n <= size {
+	if off <= size && n <= size-off {
 		return off
 	}
 	sector := int64(dev.SectorSize())

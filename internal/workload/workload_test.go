@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -188,12 +189,13 @@ func TestReplayClampsOversizedOffsets(t *testing.T) {
 	trace := []blockdev.Op{
 		{Kind: blockdev.OpWrite, Off: dev.Size() * 4, Len: 4096},
 		{Kind: blockdev.OpRead, Off: dev.Size() * 7, Len: 4096},
+		{Kind: blockdev.OpWrite, Off: math.MaxInt64 &^ 4095, Len: 8192}, // off+len wraps negative
 	}
 	res, err := Replay(dev, trace) // must not panic
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Requests != 2 {
+	if res.Requests != 3 {
 		t.Fatalf("requests = %d", res.Requests)
 	}
 }
