@@ -29,6 +29,8 @@
 // nothing, so a freshly constructed drive is almost free until written.
 package cow
 
+import "math/bits"
+
 // deepCopy routes Snapshot/Restore through the retained deep-copy reference
 // path (SnapshotDeep/RestoreDeep) instead of chunk sharing. The two paths are
 // observationally indistinguishable — pinned by property tests in this
@@ -49,6 +51,8 @@ func DeepCopy() bool { return deepCopy }
 type Array[E comparable] struct {
 	n        int64
 	chunkLen int64
+	shift    uint  // log2(chunkLen): element i lives in chunk i>>shift
+	mask     int64 // chunkLen-1: at offset i&mask
 	elemSize int64
 	fill     E
 	fillZero bool
@@ -68,17 +72,23 @@ type Image[E comparable] struct {
 	chunks   [][]E
 }
 
-// NewArray returns an all-fill array of n elements in chunks of chunkLen.
+// NewArray returns an all-fill array of n elements in chunks of chunkLen,
+// which must be a power of two: every element access indexes by shift and
+// mask instead of a 64-bit division by a run-time length (DESIGN.md §12).
 // elemSize is the element's in-memory size in bytes, used only for the
 // byte totals in Stats/VisitShared accounting.
 func NewArray[E comparable](n, chunkLen, elemSize int64, fill E) *Array[E] {
 	if n < 0 || chunkLen <= 0 || elemSize <= 0 {
 		panic("cow: invalid array shape")
 	}
+	if chunkLen&(chunkLen-1) != 0 {
+		panic("cow: chunk length must be a power of two")
+	}
 	nc := (n + chunkLen - 1) / chunkLen
 	var zero E
 	return &Array[E]{
 		n: n, chunkLen: chunkLen, elemSize: elemSize,
+		shift: uint(bits.TrailingZeros64(uint64(chunkLen))), mask: chunkLen - 1,
 		fill: fill, fillZero: fill == zero,
 		chunks: make([][]E, nc), shared: make([]bool, nc),
 	}
@@ -89,11 +99,11 @@ func (a *Array[E]) Len() int64 { return a.n }
 
 // At returns element i.
 func (a *Array[E]) At(i int64) E {
-	ch := a.chunks[i/a.chunkLen]
+	ch := a.chunks[i>>a.shift]
 	if ch == nil {
 		return a.fill
 	}
-	return ch[i%a.chunkLen]
+	return ch[i&a.mask]
 }
 
 // own makes chunk ci exclusively writable: materializing it from the fill
@@ -124,29 +134,29 @@ func (a *Array[E]) own(ci int64) []E {
 // Set stores v at i. Storing the fill value into an absent chunk is a no-op
 // and allocates nothing.
 func (a *Array[E]) Set(i int64, v E) {
-	ci := i / a.chunkLen
+	ci := i >> a.shift
 	if a.chunks[ci] == nil && v == a.fill {
 		return
 	}
-	a.own(ci)[i%a.chunkLen] = v
+	a.own(ci)[i&a.mask] = v
 }
 
 // Ptr returns a writable pointer to element i, materializing and privatizing
 // its chunk as needed. The pointer is valid until the next Snapshot, Restore
 // or FillRange touching the chunk.
 func (a *Array[E]) Ptr(i int64) *E {
-	return &a.own(i / a.chunkLen)[i%a.chunkLen]
+	return &a.own(i >> a.shift)[i&a.mask]
 }
 
 // MutSpan returns a writable view of [lo, hi), which must be non-empty and
 // lie within a single chunk (callers with chunk-aligned layouts, like the
 // NAND page store, guarantee this by construction).
 func (a *Array[E]) MutSpan(lo, hi int64) []E {
-	ci := lo / a.chunkLen
-	if lo >= hi || hi > a.n || (hi-1)/a.chunkLen != ci {
+	ci := lo >> a.shift
+	if lo >= hi || hi > a.n || (hi-1)>>a.shift != ci {
 		panic("cow: MutSpan must cover a non-empty range within one chunk")
 	}
-	off := lo % a.chunkLen
+	off := lo & a.mask
 	return a.own(ci)[off : off+(hi-lo)]
 }
 
@@ -154,8 +164,8 @@ func (a *Array[E]) MutSpan(lo, hi int64) []E {
 // chunks yield the fill value.
 func (a *Array[E]) CopyOut(lo, hi int64, dst []E) {
 	for lo < hi {
-		ci := lo / a.chunkLen
-		off := lo % a.chunkLen
+		ci := lo >> a.shift
+		off := lo & a.mask
 		nn := min(hi-lo, a.chunkLen-off)
 		seg := dst[:nn]
 		switch ch := a.chunks[ci]; {
@@ -182,8 +192,8 @@ func (a *Array[E]) FillRange(lo, hi int64) {
 		panic("cow: FillRange out of bounds")
 	}
 	for lo < hi {
-		ci := lo / a.chunkLen
-		start := ci * a.chunkLen
+		ci := lo >> a.shift
+		start := ci << a.shift
 		end := start + a.chunkLen
 		if lo == start && hi >= end {
 			a.chunks[ci] = nil

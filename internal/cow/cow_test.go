@@ -224,3 +224,30 @@ func TestCowAccounting(t *testing.T) {
 		t.Fatalf("unique shared bytes = %d, want %d", unique, want)
 	}
 }
+
+// TestNewArrayChunkLenPowerOfTwo pins the shape rule element indexing relies
+// on: chunk i>>shift, offset i&mask. Any other chunk length is rejected at
+// construction instead of misindexing.
+func TestNewArrayChunkLenPowerOfTwo(t *testing.T) {
+	for _, tc := range []struct {
+		chunkLen int64
+		ok       bool
+	}{
+		{1, true}, {2, true}, {64, true}, {4096, true}, {1 << 20, true},
+		{0, false}, {-64, false}, {3, false}, {48, false}, {12288, false},
+		{64 * 12288, false},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); (r == nil) != tc.ok {
+					t.Errorf("NewArray(chunkLen %d): panic %v, want ok=%v", tc.chunkLen, r, tc.ok)
+				}
+			}()
+			a := NewArray[int64](1000, tc.chunkLen, 8, 0)
+			a.Set(999, 7)
+			if a.At(999) != 7 || a.At(998) != 0 {
+				t.Errorf("chunkLen %d: element 999/998 = %d/%d", tc.chunkLen, a.At(999), a.At(998))
+			}
+		}()
+	}
+}

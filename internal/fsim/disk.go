@@ -110,7 +110,7 @@ func (d *MemDisk) Sync() { d.Syncs++ }
 func (d *MemDisk) Size() int64 { return d.Cap }
 
 func (d *MemDisk) check(off, n int64) {
-	if off < 0 || n < 0 || off+n > d.Cap {
+	if off < 0 || n < 0 || off > d.Cap || n > d.Cap-off { // off+n could wrap
 		panic("fsim: disk access out of bounds")
 	}
 	if off+n > d.MaxOffSeen {

@@ -1,6 +1,7 @@
 package fsim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -14,6 +15,33 @@ func memDisk() *MemDisk { return &MemDisk{Cap: 64 << 20} }
 func newFSes(t *testing.T) []FS {
 	t.Helper()
 	return []FS{NewExtFS(memDisk()), NewLogFS(memDisk())}
+}
+
+// TestMemDiskBounds: every access outside [0, Cap) panics, including a
+// length so large that off+n wraps negative.
+func TestMemDiskBounds(t *testing.T) {
+	for _, tc := range []struct {
+		off, n int64
+		ok     bool
+	}{
+		{0, 64 << 20, true},
+		{64<<20 - 4096, 4096, true},
+		{64 << 20, 0, true},
+		{64 << 20, 1, false},
+		{-1, 1, false},
+		{0, -1, false},
+		{8, math.MaxInt64, false},
+		{64 << 20, math.MaxInt64, false},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); (r == nil) != tc.ok {
+					t.Errorf("Write(%d, %d): panic %v, want ok=%v", tc.off, tc.n, r, tc.ok)
+				}
+			}()
+			memDisk().Write(tc.off, tc.n)
+		}()
+	}
 }
 
 func TestCreateWriteStatDelete(t *testing.T) {

@@ -27,6 +27,7 @@ type puState struct {
 
 	gcRunning bool
 	job       *gcJob    // in-progress victim collection (nil between victims)
+	spareJob  *gcJob    // the retired job, reused by the next collection
 	waiters   []*pageOp // page ops awaiting a free block
 }
 
@@ -221,6 +222,9 @@ func (f *FTL) commitPage(pu *puState, op *pageOp, ppn int64, gb int64) {
 	}
 	if op.done != nil {
 		op.done()
+	}
+	if op.kind == kindRefresh {
+		f.refreshing.Clear(op.refreshPPN)
 	}
 	if op.kind == kindGC || op.kind == kindRefresh {
 		f.inflightGC--

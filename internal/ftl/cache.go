@@ -32,8 +32,14 @@ type writeCache struct {
 	flushWater int
 	sector     int
 
-	entries map[int64]*cacheEntry
-	fifo    []*cacheEntry // dirty entries in arrival order (stale nodes skipped)
+	index entryIndex // dirty and flushing entries by lsn
+	// fifo holds dirty entries in arrival order (stale nodes skipped) from
+	// fifoHead on. Popping advances the head; pushing onto a full backing
+	// array first compacts the live tail to the front when at least half of
+	// the array is consumed, so the queue reuses one array instead of
+	// reallocating as it slides, at amortized O(1) per push.
+	fifo     []*cacheEntry
+	fifoHead int
 
 	dirtyCount    int
 	dirtyBytes    int
@@ -86,7 +92,7 @@ func newWriteCache(capBytes, sector int) *writeCache {
 		capBytes:   capBytes,
 		flushWater: capBytes * 3 / 4,
 		sector:     sector,
-		entries:    make(map[int64]*cacheEntry),
+		index:      newEntryIndex(capBytes / sector),
 	}
 }
 
@@ -98,11 +104,10 @@ func (c *writeCache) overCommitted() bool {
 // drop removes lsn from the cache (TRIM). A flushing copy is marked dead so
 // its commit discards the programmed slot.
 func (c *writeCache) drop(lsn int64) {
-	e, ok := c.entries[lsn]
-	if !ok {
+	e := c.index.del(lsn)
+	if e == nil {
 		return
 	}
-	delete(c.entries, lsn)
 	switch e.state {
 	case entryDirty:
 		c.dirtyBytes -= c.sector
@@ -124,24 +129,22 @@ func (f *FTL) writeCached(lsn int64, count int, done func()) {
 	attr := f.prof.Cur()
 	for s := int64(0); s < int64(count); s++ {
 		l := lsn + s
-		if e, ok := c.entries[l]; ok {
+		if e := c.index.get(l); e != nil {
 			f.counters.CacheHits++
 			if e.state == entryFlushing {
 				// Supersede the in-flight copy: this entry becomes dirty
 				// again; the flying program's slot will be dead on commit.
 				e.state = entryDirty
 				e.flight = nil
-				e.queued = true
-				c.fifo = append(c.fifo, e)
+				c.push(e)
 				c.dirtyBytes += c.sector
 				c.dirtyCount++
 			}
 			continue
 		}
 		e := c.newEntry(l)
-		e.queued = true
-		c.entries[l] = e
-		c.fifo = append(c.fifo, e)
+		c.index.put(e)
+		c.push(e)
 		c.dirtyBytes += c.sector
 		c.dirtyCount++
 	}
@@ -176,16 +179,30 @@ func (f *FTL) maybeFlushCache() {
 // nodes. Skipped nodes were the last reference to their (dead) entries, so
 // this is also where trimmed-while-dirty entries return to the freelist.
 func (c *writeCache) popDirty() *cacheEntry {
-	for len(c.fifo) > 0 {
-		e := c.fifo[0]
-		c.fifo = c.fifo[1:]
+	for c.fifoHead < len(c.fifo) {
+		e := c.fifo[c.fifoHead]
+		c.fifo[c.fifoHead] = nil
+		c.fifoHead++
 		e.queued = false
-		if e.state == entryDirty && c.entries[e.lsn] == e {
+		if e.state == entryDirty && c.index.get(e.lsn) == e {
 			return e
 		}
 		c.recycleIfDead(e)
 	}
+	c.fifo, c.fifoHead = c.fifo[:0], 0
 	return nil
+}
+
+// push appends e to the dirty fifo.
+func (c *writeCache) push(e *cacheEntry) {
+	if len(c.fifo) == cap(c.fifo) && 2*c.fifoHead >= len(c.fifo) {
+		n := copy(c.fifo, c.fifo[c.fifoHead:])
+		clear(c.fifo[n:])
+		c.fifo = c.fifo[:n]
+		c.fifoHead = 0
+	}
+	e.queued = true
+	c.fifo = append(c.fifo, e)
 }
 
 // startCacheFlush batches up to a page worth of oldest dirty sectors into
@@ -242,7 +259,7 @@ func (f *FTL) commitCachedSector(e *cacheEntry, op *pageOp, lsn, psn int64) {
 		// This copy is still the newest: install it and retire the entry.
 		e.state = entryDead
 		e.flight = nil
-		delete(c.entries, lsn)
+		c.index.del(lsn)
 		f.commitMapping(lsn, psn)
 		if op.slc && f.pslcIndex != nil {
 			f.pslcIndex[lsn] = psn

@@ -272,6 +272,8 @@ func (cfg Config) Validate() error {
 	switch {
 	case c.Channels <= 0 || c.ChipsPerChannel <= 0:
 		return fmt.Errorf("%w: need positive channel/chip counts", ErrBadConfig)
+	case c.SectorSize < 0:
+		return fmt.Errorf("%w: negative sector size %d", ErrBadConfig, c.SectorSize)
 	case c.Geometry.PageSize%c.SectorSize != 0:
 		return fmt.Errorf("%w: page size %d not a multiple of sector size %d", ErrBadConfig, c.Geometry.PageSize, c.SectorSize)
 	case c.OverProvision < 0 || c.OverProvision >= 0.9:

@@ -61,6 +61,9 @@ type pageOp struct {
 	slc     bool
 	done    func()
 	req     *obs.ReqAttr // host request this program serves; nil for background
+	// refreshPPN is a kindRefresh op's source page, whose in-flight refresh
+	// mark commitPage clears.
+	refreshPPN int64
 
 	// Issue-time placement, recorded by tryIssue so the prebuilt progDone
 	// callback can route the flash completion without a per-program closure.
@@ -766,7 +769,7 @@ func (f *FTL) Read(lsn int64, count int, done func()) error {
 	for s := int64(0); s < int64(count); s++ {
 		l := lsn + s
 		if f.cache != nil {
-			if _, ok := f.cache.entries[l]; ok {
+			if f.cache.index.get(l) != nil {
 				f.counters.CacheReadHits++
 				continue
 			}

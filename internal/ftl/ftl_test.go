@@ -282,6 +282,55 @@ func TestTrimOfDirtyCacheEntry(t *testing.T) {
 	checkInvariants(t, f)
 }
 
+// TestTrimOfFlushingCacheEntry trims a sector whose copy is in a cache-flush
+// program, then rewrites it before that program commits. The trimmed copy
+// must leave the index at once (so the rewrite is a fresh entry, not a cache
+// hit), its programmed slot must commit dead, and the counters and mapping
+// must equal those the map-indexed cache produced for the same sequence.
+func TestTrimOfFlushingCacheEntry(t *testing.T) {
+	eng, _, f := newTestFTL(t, smallConfig())
+	// 64 sectors overrun the 48-sector flush watermark: lsns 0..15 go out in
+	// four flush programs before the engine runs.
+	_ = f.Write(0, 64, nil)
+	if e := f.cache.index.get(5); e == nil || e.state != entryFlushing {
+		t.Fatal("lsn 5 is not in a flush program")
+	}
+	_ = f.Trim(5, 1)
+	if f.cache.index.get(5) != nil {
+		t.Fatal("trimmed lsn 5 still indexed")
+	}
+	_ = f.Write(5, 1, nil)
+	if e := f.cache.index.get(5); e == nil || e.state != entryDirty {
+		t.Fatal("rewritten lsn 5 is not a dirty entry")
+	}
+	eng.Run()
+	f.Flush(nil)
+	eng.Run()
+	checkInvariants(t, f)
+	want := Counters{
+		HostWriteRequests: 2, HostSectorsWritten: 65, TrimmedSectors: 1,
+		CacheEvictions: 5, DataPagesProgrammed: 17, MapPagesProgrammed: 1,
+		PaddedSectors: 3,
+	}
+	if got := f.Counters(); got != want {
+		t.Errorf("counters = %+v\nwant %+v", got, want)
+	}
+	wantL2P := []int64{
+		0, 1, 2, 3, 2048, 8, 2050, 2051, 1024, 1025, 1026, 1027, 3072, 3073, 3074, 3075,
+		512, 513, 514, 515, 2560, 2561, 2562, 2563, 1536, 1537, 1538, 1539, 3584, 3585, 3586, 3587,
+		4, 5, 6, 7, 2052, 2053, 2054, 2055, 1028, 1029, 1030, 1031, 3076, 3077, 3078, 3079,
+		516, 517, 518, 519, 2564, 2565, 2566, 2567, 1540, 1541, 1542, 1543, 3588, 3589, 3590, 3591,
+	}
+	for lsn, psn := range wantL2P {
+		if got := f.MapEntry(int64(lsn)); got != psn {
+			t.Errorf("l2p[%d] = %d, want %d", lsn, got, psn)
+		}
+	}
+	if f.p2l.At(2049) != psnFree {
+		t.Error("the trimmed copy's programmed slot is live")
+	}
+}
+
 func TestRangeErrors(t *testing.T) {
 	_, _, f := newTestFTL(t, smallConfig())
 	if err := f.Write(f.LogicalSectors(), 1, nil); err == nil {
@@ -523,6 +572,8 @@ func TestConfigValidate(t *testing.T) {
 	cases := []func(*Config){
 		func(c *Config) { c.Channels = 0 },
 		func(c *Config) { c.SectorSize = 3000 },
+		func(c *Config) { c.SectorSize = -4096 },
+		func(c *Config) { c.Geometry.PageSize = 12288 }, // a multiple of the sector, not a power of two
 		func(c *Config) { c.OverProvision = 0.95 },
 		func(c *Config) { c.RAIN.DataPages = -1 },
 		func(c *Config) { c.GCLowWater = 1 },

@@ -181,8 +181,17 @@ type gcJob struct {
 // relocation programs and the erase all contend with host traffic on the
 // PU's channel and die — this contention is the tail-latency mechanism of
 // the paper's Figure 3.
+//
+// The job is the PU's spare from its previous collection when there is one:
+// its moves and readPages keep their capacity, so steady-state collection
+// allocates nothing.
 func (f *FTL) collectBlock(pu *puState, victim int32) {
-	job := &gcJob{victim: victim}
+	job := pu.spareJob
+	if job == nil {
+		job = new(gcJob)
+	}
+	pu.spareJob = nil
+	*job = gcJob{victim: victim, moves: job.moves[:0], readPages: job.readPages[:0]}
 	blockBase := f.ppnOf(pu.index, victim, 0) * int64(f.secPerPage)
 	for p := 0; p < f.pagesPerBlk; p++ {
 		pageLive := false
@@ -294,6 +303,10 @@ func (f *FTL) gcEraseDone(pu *puState, err error) {
 		*f.blockErases.Ptr(f.globalBlock(pu.index, job.victim))++
 		pu.free = append(pu.free, job.victim)
 	}
+	// The job is retired; keep it for the PU's next collection. Snapshots
+	// deep-copy jobs, so no image aliases its slices.
+	job.sp = obs.Span{}
+	pu.spareJob = job
 	f.drainPUWaiters(pu)
 	f.gcStep(pu)
 	f.pumpDrain()

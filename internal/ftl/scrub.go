@@ -60,9 +60,7 @@ func (f *FTL) refreshPage(ppn int64) {
 		f.tr.Emit("ftl.refresh", obs.Int("ppn", ppn), obs.Int("live", int64(live)))
 	}
 	op.lsns, op.old, op.pu = lsns, old, f.nextPU()
-	op.done = func() {
-		f.refreshing.Clear(ppn)
-	}
+	op.refreshPPN = ppn // commitPage clears the in-flight mark
 	f.submitPage(op)
 }
 

@@ -102,7 +102,7 @@ func (f *FTL) Snapshot() *State {
 		panic("ftl: Snapshot with refresh programs outstanding")
 	}
 	if c := f.cache; c != nil {
-		if len(c.entries) != 0 || c.dirtyCount != 0 || c.dirtyBytes != 0 ||
+		if c.index.n != 0 || c.dirtyCount != 0 || c.dirtyBytes != 0 ||
 			c.flushingBytes != 0 || c.inflight != 0 || len(c.admitWaiters) != 0 {
 			panic("ftl: Snapshot with a non-clean cache")
 		}

@@ -336,7 +336,7 @@ func (c *Controller) clamp(off, n int64) (int64, int64) {
 	if off < 0 {
 		off = 0
 	}
-	if off+n > size {
+	if off > size || n > size-off { // not off+n > size: that wraps for a huge n
 		off = 0
 	}
 	return off / sector * sector, n / sector * sector

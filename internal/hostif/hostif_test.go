@@ -1,6 +1,7 @@
 package hostif
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -178,6 +179,11 @@ func TestClampFoldsOutOfRange(t *testing.T) {
 	eng.Run()
 	if done != 3 {
 		t.Fatalf("done = %d", done)
+	}
+	// A length so large that off+n wraps negative still folds the offset.
+	last := c.Device().Size() - 4096
+	if off, _ := c.clamp(last, math.MaxInt64&^4095); off != 0 {
+		t.Errorf("clamp(%d, huge) kept offset %d, want it folded to 0", last, off)
 	}
 }
 

@@ -13,18 +13,26 @@ func testGeom() Geometry {
 }
 
 func TestGeometryValidate(t *testing.T) {
-	if err := testGeom().Validate(); err != nil {
-		t.Fatalf("valid geometry rejected: %v", err)
-	}
-	bad := testGeom()
-	bad.Dies = 0
-	if bad.Validate() == nil {
-		t.Error("zero dies accepted")
-	}
-	bad = testGeom()
-	bad.PageSize = -1
-	if bad.Validate() == nil {
-		t.Error("negative page size accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Geometry)
+		ok     bool
+	}{
+		{"valid", func(*Geometry) {}, true},
+		{"zero dies", func(g *Geometry) { g.Dies = 0 }, false},
+		{"negative page size", func(g *Geometry) { g.PageSize = -1 }, false},
+		{"page 16384", func(g *Geometry) { g.PageSize = 16384 }, true},
+		{"page 64", func(g *Geometry) { g.PageSize = 64 }, true},
+		// Page store chunks are whole pages and must be a power of two long.
+		{"page 12288", func(g *Geometry) { g.PageSize = 12288 }, false},
+		{"page 4320", func(g *Geometry) { g.PageSize = 4320 }, false},
+		{"page 3", func(g *Geometry) { g.PageSize = 3 }, false},
+	} {
+		g := testGeom()
+		tc.mutate(&g)
+		if err := g.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 

@@ -37,13 +37,18 @@ type Geometry struct {
 	OOBSize        int // spare bytes per page (modeled but not stored)
 }
 
-// Validate reports whether the geometry is internally consistent.
+// Validate reports whether the geometry is internally consistent. The page
+// size must be a power of two, as real NAND page sizes (OOB excluded) are:
+// the page store's copy-on-write chunks are a whole number of pages, and
+// cow.NewArray requires a power-of-two chunk length.
 func (g Geometry) Validate() error {
 	switch {
 	case g.Dies <= 0, g.Planes <= 0, g.BlocksPerPlane <= 0, g.PagesPerBlock <= 0:
 		return errors.New("nand: all geometry counts must be positive")
 	case g.PageSize <= 0:
 		return errors.New("nand: page size must be positive")
+	case g.PageSize&(g.PageSize-1) != 0:
+		return fmt.Errorf("nand: page size %d is not a power of two", g.PageSize)
 	case g.OOBSize < 0:
 		return errors.New("nand: OOB size must be non-negative")
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ssdtp/internal/blockdev"
@@ -56,6 +57,38 @@ func TestDeviceBounds(t *testing.T) {
 	// off+n wraps negative; the range must still be rejected.
 	if err := d.WriteAsync(math.MaxInt64&^4095, nil, 8192, nil); err == nil {
 		t.Error("overflowing range accepted")
+	}
+}
+
+// TestNewDeviceRejectsNonPowerOfTwoPage: the geometry check rejects a page
+// size that is not a power of two before any copy-on-write array is shaped
+// from it. Construction panics with that error, as for any invalid config.
+func TestNewDeviceRejectsNonPowerOfTwoPage(t *testing.T) {
+	for _, tc := range []struct {
+		pageSize int
+		ok       bool
+	}{
+		{4096, true}, {8192, true}, {16384, true},
+		{12288, false}, {6144, false}, {20480, false},
+	} {
+		cfg := MQSimBase()
+		cfg.Geometry.PageSize = tc.pageSize
+		func() {
+			defer func() {
+				r := recover()
+				if tc.ok {
+					if r != nil {
+						t.Errorf("page %d: NewDevice panicked: %v", tc.pageSize, r)
+					}
+					return
+				}
+				err, _ := r.(error)
+				if err == nil || !strings.Contains(err.Error(), "not a power of two") {
+					t.Errorf("page %d: NewDevice recovered %v, want the power-of-two geometry error", tc.pageSize, r)
+				}
+			}()
+			NewDevice(sim.NewEngine(), cfg)
+		}()
 	}
 }
 
